@@ -7,7 +7,7 @@ intersection and complement are single word operations.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
 def mask_of(elements: Iterable[int]) -> int:
@@ -43,6 +43,45 @@ def iter_submasks(mask: int) -> Iterator[int]:
 def subset_sort_key(mask: int) -> tuple[int, int]:
     """Orders subsets by cardinality, then numeric mask value."""
     return (mask.bit_count(), mask)
+
+
+def popcounts(n: int) -> list[int]:
+    """Cardinality of every mask of [n], indexed by mask."""
+    out = [0]
+    for _ in range(n):
+        out += [c + 1 for c in out]
+    return out
+
+
+def fold_subsets(
+    values: Iterable[int], n: int, op: Callable[[int, int], int], upward: bool = True
+) -> list[int]:
+    """Fold a binary op along every bit of the subset lattice of [n].
+
+    Upward, each mask S holding bit b becomes op(t[S], t[S - b]); downward,
+    each mask S missing b becomes op(t[S], t[S + b]).  With ``add`` upward
+    this sums over subsets (zeta), with ``sub`` upward it inverts that
+    (Moebius), with ``sub`` downward it is the alternating sum over
+    supersets, and with ``or_`` it ORs over supersets (downward) or subsets
+    (upward).  For each bit the pairs (S - b, S + b) are updated as ``map``
+    calls over whichever is fewer: the 2^b strided slices that interleave
+    them, or the 2^(n-b-1) contiguous blocks that hold them.
+    """
+    t = list(values)
+    size = len(t)
+    for b in range(n):
+        step = 1 << b
+        span = step << 1
+        if step <= size // span:
+            pairs = [(slice(o, size, span), slice(o + step, size, span)) for o in range(step)]
+        else:
+            pairs = [(slice(o, o + step), slice(o + step, o + span)) for o in range(0, size, span)]
+        for lo, hi in pairs:
+            if upward:
+                t[hi] = map(op, t[hi], t[lo])
+            else:
+                t[lo] = map(op, t[lo], t[hi])
+    return t
 
 
 def format_subset(mask: int) -> str:

@@ -31,7 +31,7 @@ from .decomposition import (
     decompose_truncation_flag,
 )
 from .errors import MatvolError, ParseError, RankMismatch
-from .invariants import beta, gamma, signed_beta, signed_gamma, tutte
+from .invariants import beta, signed_beta, tutte
 from .matroid import Graph, Matroid, coconnected_flats, from_bases, graphic, is_connected, uniform
 from .verify import verify_matroid
 from .volume import (
@@ -229,8 +229,9 @@ def cmd_invariants(m: Matroid, digest: str) -> Report:
         report.lines.append(f"tutte b[{i},{j}] = {c}")
     report.lines.append(f"beta = {beta(m)}")
     report.lines.append(f"signed_beta = {signed_beta(m)}")
-    report.lines.append(f"gamma = {gamma(m)}")
-    report.lines.append(f"signed_gamma = {signed_gamma(m)}")
+    g = t.gamma()
+    report.lines.append(f"gamma = {g}")
+    report.lines.append(f"signed_gamma = {g if m.rank_value % 2 == 0 else -g}")
     flats = " ".join(format_subset(a) for a in coconnected_flats(m))
     report.lines.append(f"coconnected_flats = {flats}")
     return report
@@ -269,6 +270,17 @@ def cmd_verify(args) -> Report:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matvol",
@@ -283,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("volume", help="lattice-normalized volume")
     p.add_argument("file")
     p.add_argument("--polytope", choices=["base", "indep", "flag"], default="base")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--degree", action="store_true",
                    help="also print (n-1)! times the base polytope volume")
 

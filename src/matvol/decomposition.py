@@ -12,17 +12,18 @@ Two polytope families appear as summands:
 A profile value z_I is the tight right-hand side for subset I; a
 decomposition coefficient y_I is the signed multiplicity of the summand on
 I.  The two are related by zeta/Moebius transforms over the subset lattice,
-implemented as in-place n*2^n passes.  Profiles are accepted as raw data:
+n*2^n folds of ``bitset.fold_subsets``.  Profiles are accepted as raw data:
 for non-tight right-hand sides the transform output is still well defined
 but has no geometric meaning, which is the caller's responsibility.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .bitset import elements_of, subset_sort_key
+from .bitset import elements_of, fold_subsets, subset_sort_key
 from .errors import FamilyMismatch
 from .invariants import signed_beta_contractions, signed_gamma_contractions
 from .matroid import Matroid
@@ -96,38 +97,26 @@ def make_decomposition(n: int, family: str, coeffs: Mapping[int, int]) -> Signed
 
 def zeta_subsets(values: Sequence[int], n: int) -> list[int]:
     """z[I] = sum of values over subsets of I."""
-    out = list(values)
-    for b in range(n):
-        bit = 1 << b
-        for mask in range(1 << n):
-            if mask & bit:
-                out[mask] += out[mask ^ bit]
-    return out
+    return fold_subsets(values, n, operator.add)
 
 
 def mobius_subsets(values: Sequence[int], n: int) -> list[int]:
     """Inverse of ``zeta_subsets``: y[I] = sum over J <= I of (-1)^(|I|-|J|) z[J]."""
-    out = list(values)
-    for b in range(n):
-        bit = 1 << b
-        for mask in range(1 << n):
-            if mask & bit:
-                out[mask] -= out[mask ^ bit]
-    return out
+    return fold_subsets(values, n, operator.sub)
 
 
 def z_from_matroid(m: Matroid) -> ZProfile:
     """Tight GP profile of the base polytope: z_I = r - r(E-I)."""
     r = m.rank_value
     full = m.full_mask
-    values = tuple(r - m.rank(full ^ i) for i in range(1 << m.n))
+    table = m.rank_table
+    values = tuple(r - table[full ^ i] for i in range(1 << m.n))
     return ZProfile(m.n, KIND_GP, values)
 
 
 def z_from_matroid_indep(m: Matroid) -> ZProfile:
     """Tight Q profile of the independent set polytope: z_J = r(J)."""
-    values = tuple(m.rank(j) for j in range(1 << m.n))
-    return ZProfile(m.n, KIND_Q, values)
+    return ZProfile(m.n, KIND_Q, tuple(m.rank_table))
 
 
 def y_from_z_gp(z: ZProfile) -> SignedDecomposition:

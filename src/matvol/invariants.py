@@ -1,19 +1,26 @@
 """Tutte polynomial and the beta and gamma invariants.
 
-The Tutte polynomial is computed by the corank-nullity expansion over all
-2^n subsets with exact integer binomials; beta comes straight from its
-alternating-sum definition so that one-element ground sets behave correctly.
-The whole-table variants compute the signed invariant of every contraction
-M/A at once with a single alternating superset transform, which is what the
-decomposition and volume engines iterate over.
+All of them read the matroid's rank table.  The Tutte polynomial is the
+corank-nullity expansion over all 2^n subsets with exact integer binomials,
+expanded once per distinct (corank, nullity) pair; beta comes straight from
+its alternating-sum definition so that one-element ground sets behave
+correctly.  The whole-table variants compute the signed invariant of every
+contraction M/A at once with a single alternating superset transform, which
+is what the decomposition and volume engines iterate over.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
+from operator import neg, sub
+from typing import TYPE_CHECKING
 
-from .matroid import Matroid
+from .bitset import fold_subsets, popcounts
+
+if TYPE_CHECKING:  # matroid imports this module for coconnected_flats
+    from .matroid import Matroid
 
 
 @dataclass(frozen=True)
@@ -31,17 +38,25 @@ class TuttePolynomial:
     def evaluate(self, x: int, y: int) -> int:
         return sum(c * x**i * y**j for (i, j), c in self.coeffs)
 
+    def gamma(self) -> int:
+        """Gamma invariant b20 - b10."""
+        return self.coefficient(2, 0) - self.coefficient(1, 0)
+
 
 def tutte(m: Matroid) -> TuttePolynomial:
-    """Tutte polynomial via the subset expansion of corank/nullity terms."""
+    """Tutte polynomial via the subset expansion of corank/nullity terms.
+
+    Subsets with the same rank and size contribute the same term, so the
+    table is first counted by (r(A), |A|) and each distinct pair expanded
+    once.
+    """
     r = m.rank_value
     coeffs: dict[tuple[int, int], int] = {}
-    for a in range(1 << m.n):
-        ra = m.rank(a)
+    for (ra, size), count in Counter(zip(m.rank_table, popcounts(m.n))).items():
         p = r - ra                  # corank exponent on (x-1)
-        q = a.bit_count() - ra      # nullity exponent on (y-1)
+        q = size - ra               # nullity exponent on (y-1)
         for i in range(p + 1):
-            ci = comb(p, i) * (-1) ** (p - i)
+            ci = count * comb(p, i) * (-1) ** (p - i)
             for j in range(q + 1):
                 key = (i, j)
                 coeffs[key] = coeffs.get(key, 0) + ci * comb(q, j) * (-1) ** (q - j)
@@ -51,9 +66,7 @@ def tutte(m: Matroid) -> TuttePolynomial:
 
 def beta(m: Matroid) -> int:
     """Beta invariant from its alternating rank sum; zero iff disconnected."""
-    total = 0
-    for x in range(1 << m.n):
-        total += -m.rank(x) if x.bit_count() & 1 else m.rank(x)
+    total = sum(-ra if size & 1 else ra for ra, size in zip(m.rank_table, popcounts(m.n)))
     return total if m.rank_value % 2 == 0 else -total
 
 
@@ -64,17 +77,16 @@ def signed_beta(m: Matroid) -> int:
 
 def gamma(m: Matroid) -> int:
     """Gamma invariant b20 - b10 of the Tutte polynomial."""
-    t = tutte(m)
-    return t.coefficient(2, 0) - t.coefficient(1, 0)
+    return tutte(m).gamma()
 
 
 def gamma_from_rank_sum(m: Matroid) -> int:
     """Gamma invariant via the alternating binomial rank sum; independent route."""
     r = m.rank_value
     total = 0
-    for x in range(1 << m.n):
-        term = comb(r - m.rank(x) + 1, 2)
-        total += -term if x.bit_count() & 1 else term
+    for ra, size in zip(m.rank_table, popcounts(m.n)):
+        term = comb(r - ra + 1, 2)
+        total += -term if size & 1 else term
     return total if r % 2 == 0 else -total
 
 
@@ -84,27 +96,15 @@ def signed_gamma(m: Matroid) -> int:
     return g if m.rank_value % 2 == 0 else -g
 
 
-def _alternating_superset_sum(values: list[int], n: int) -> list[int]:
-    """t[A] = sum over supersets S of A of (-1)^(|S|-|A|) * values[S]."""
-    t = list(values)
-    for b in range(n):
-        bit = 1 << b
-        for mask in range(1 << n):
-            if not mask & bit:
-                t[mask] -= t[mask | bit]
-    return t
-
-
 def signed_beta_contractions(m: Matroid) -> list[int]:
     """Signed beta invariant of M/A for every subset A, indexed by mask.
 
-    The contraction's alternating rank sum telescopes to a superset
-    transform of this matroid's rank table, and the contraction rank parity
-    cancels against it, leaving a single sign for every entry.
+    The contraction's alternating rank sum telescopes to the alternating
+    superset sum of this matroid's rank table (a downward ``sub`` fold), and
+    the contraction rank parity cancels against it, leaving a single sign
+    for every entry.
     """
-    ranks = [m.rank(a) for a in range(1 << m.n)]
-    t = _alternating_superset_sum(ranks, m.n)
-    out = [-v for v in t]
+    out = list(map(neg, fold_subsets(m.rank_table, m.n, sub, upward=False)))
     out[m.full_mask] = 0  # the empty contraction has no elements, beta 0
     return out
 
@@ -112,5 +112,5 @@ def signed_beta_contractions(m: Matroid) -> list[int]:
 def signed_gamma_contractions(m: Matroid) -> list[int]:
     """Signed gamma invariant of M/A for every subset A, indexed by mask."""
     r = m.rank_value
-    seed = [comb(r - m.rank(a) + 1, 2) for a in range(1 << m.n)]
-    return _alternating_superset_sum(seed, m.n)
+    by_rank = [comb(r - ra + 1, 2) for ra in range(r + 1)]
+    return fold_subsets(map(by_rank.__getitem__, m.rank_table), m.n, sub, upward=False)

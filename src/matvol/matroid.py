@@ -1,19 +1,23 @@
-"""Matroids given by their basis families: rank oracle, minors, duality.
+"""Matroids given by their basis families: rank table, minors, duality.
 
 A matroid lives on ground set [n] with n <= 20 so that every subset fits in
 a machine word and every subset-indexed table has exactly 2^n entries.
-Matroids are immutable after construction except for the internal rank memo,
-which is only ever filled with identical values and is therefore safe to
-share across threads.
+Matroids are immutable.  The rank function is one dense table of 2^n bytes,
+``Matroid.rank_table``, built from the bases on first use in O(n 2^n) and
+never written again, so matroids share no mutable state between threads.
+Constructions that know a rank table already (truncations) hand it to the
+new matroid instead of rebuilding it from the bases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
+from operator import lshift, or_
 from typing import Iterable
 
-from .bitset import elements_of, mask_of, subset_sort_key
+from .bitset import elements_of, fold_subsets, mask_of, popcounts, subset_sort_key
 from .errors import (
     EmptyBasisFamily,
     ExchangeAxiomViolation,
@@ -22,6 +26,7 @@ from .errors import (
     InvalidUniformParams,
     UnequalCardinality,
 )
+from .invariants import signed_beta_contractions
 
 MAX_GROUND_SET = 20
 
@@ -56,22 +61,32 @@ class Matroid:
     rank_value: int
     bases: frozenset[int]
     parent_labels: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
-    _rank_memo: list = field(default=None, init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_rank_memo", [-1] * (1 << self.n))
 
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
+    @cached_property
+    def rank_table(self) -> bytes:
+        """r(S) for every subset mask S, indexed by mask.
+
+        The subsets of bases are the independent sets (a downward OR pass),
+        and r(S) is the size of the largest independent subset of S (an
+        upward pass taking the max of |T| over independent T).  The max is
+        taken as an OR of 2^|T|, whose highest bit is the largest |T|: an OR
+        pass is twice as fast as one calling ``max``.  Built on first use, so
+        a matroid whose ranks are never read costs no table.
+        """
+        independent = [0] * (1 << self.n)
+        for b in self.bases:
+            independent[b] = 1
+        independent = fold_subsets(independent, self.n, or_, upward=False)
+        sizes = fold_subsets(map(lshift, independent, popcounts(self.n)), self.n, or_)
+        return bytes(v.bit_length() - 1 for v in sizes)
+
     def rank(self, subset: int) -> int:
         """Rank of a subset: the largest intersection with a basis."""
-        r = self._rank_memo[subset]
-        if r < 0:
-            r = max((subset & b).bit_count() for b in self.bases)
-            self._rank_memo[subset] = r
-        return r
+        return self.rank_table[subset]
 
     def is_independent(self, subset: int) -> bool:
         return self.rank(subset) == subset.bit_count()
@@ -235,15 +250,17 @@ def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
 
 
 def truncate(m: Matroid, i: int) -> Matroid:
-    """Rank-i truncation: bases are the independent sets of size i."""
+    """Rank-i truncation: bases are the independent sets of size i.
+
+    Its rank function is min(i, r), read off the parent's table.
+    """
     if not 1 <= i <= m.rank_value:
         raise InvalidTruncationRank(f"truncation rank {i} outside 1..{m.rank_value}")
-    bases = set()
-    for combo in combinations(range(1, m.n + 1), i):
-        x = mask_of(combo)
-        if m.rank(x) == i:
-            bases.add(x)
-    return Matroid(n=m.n, rank_value=i, bases=frozenset(bases))
+    table = m.rank_table.translate(bytes(min(i, v) for v in range(256)))
+    bases = frozenset(x for x, v in enumerate(table) if v == i and x.bit_count() == i)
+    t = Matroid(n=m.n, rank_value=i, bases=bases)
+    t.__dict__["rank_table"] = table  # the cached_property's slot
+    return t
 
 
 def is_connected(m: Matroid) -> bool:
@@ -258,11 +275,9 @@ def is_connected(m: Matroid) -> bool:
         return m.rank_value == 1
     full = m.full_mask
     r = m.rank_value
+    table = m.rank_table
     # Odd masks < full enumerate each proper split once (side containing 1).
-    for a in range(1, full, 2):
-        if m.rank(a) + m.rank(full ^ a) == r:
-            return False
-    return True
+    return all(table[a] + table[full ^ a] != r for a in range(1, full, 2))
 
 
 def components(m: Matroid) -> list[int]:
@@ -275,9 +290,10 @@ def components(m: Matroid) -> list[int]:
         return []
     full = m.full_mask
     r = m.rank_value
+    table = m.rank_table
     comp = [full] * m.n
     for a in range(1, full, 2):
-        if m.rank(a) + m.rank(full ^ a) != r:
+        if table[a] + table[full ^ a] != r:
             continue
         for e in range(m.n):
             if a >> e & 1:
@@ -300,8 +316,8 @@ def coconnected_flats(m: Matroid) -> list[int]:
     """All proper subsets A of E whose contraction M/A is connected.
 
     These are exactly the subsets with a nonzero signed beta invariant of
-    M/A, hence the support of the base polytope decomposition.
+    M/A, hence the support of the base polytope decomposition, which is how
+    they are found: one superset transform instead of 2^n contractions.
     """
-    out = [a for a in range(1 << m.n) if a != m.full_mask and is_connected(contract(m, a))]
-    out.sort(key=subset_sort_key)
-    return out
+    table = signed_beta_contractions(m)  # zero at A = E
+    return sorted((a for a, v in enumerate(table) if v), key=subset_sort_key)

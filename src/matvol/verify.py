@@ -178,9 +178,10 @@ def check_independent_polytope(m: Matroid, name: str) -> list[Mismatch]:
 def check_flag_polytope(m: Matroid, name: str) -> list[Mismatch]:
     out = []
     d = decompose_truncation_flag(m)
+    truncations = [truncate(m, i) for i in range(1, m.rank_value + 1)]
     summed = None
-    for i in range(1, m.rank_value + 1):
-        piece = decompose_base_polytope(truncate(m, i))
+    for t in truncations:
+        piece = decompose_base_polytope(t)
         summed = piece if summed is None else add(summed, piece)
     if summed != d:
         out.append(Mismatch(name, "flag-decomposition", "gamma coefficients disagree with the truncation sum"))
@@ -188,7 +189,7 @@ def check_flag_polytope(m: Matroid, name: str) -> list[Mismatch]:
     for _ in range(SUPPORT_DIRECTIONS):
         w = [rng.randint(-9, 9) for _ in range(m.n)]
         lhs = support_function(d, w)
-        rhs = sum(max_basis_weight(truncate(m, i), w) for i in range(1, m.rank_value + 1))
+        rhs = sum(max_basis_weight(t, w) for t in truncations)
         if lhs != rhs:
             out.append(Mismatch(name, "flag-support", f"direction {w}: decomposition gives {lhs}, truncations give {rhs}"))
             break

@@ -257,6 +257,15 @@ def test_degree_flag_requires_base(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_threads_below_one_rejected(tmp_path, capsys):
+    path = write(tmp_path, "u23.matroid", U23_TEXT)
+    for threads in ("0", "-1"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["volume", path, "--threads", threads])
+        assert excinfo.value.code == 2
+        assert "at least 1" in capsys.readouterr().err
+
+
 def test_missing_file_is_validation_error(capsys):
     code, _, err = run(capsys, ["invariants", "/nonexistent/file.matroid"])
     assert code == 2

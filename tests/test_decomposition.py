@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -136,6 +137,17 @@ def test_decompose_base_pyramid():
 
 def test_decompose_base_u13():
     assert decompose_base_polytope(U13) == delta(3, {0b111: 1})
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_decompose_base_uniform_closed_form(n):
+    # y[E-A] = (-1)^(k-|A|+1) C(n-|A|-2, k-|A|-1) for |A| < k, else 0
+    # (n - |A| >= 2 follows from |A| < k <= n - 1).
+    full = (1 << n) - 1
+    for k in range(1, n):
+        by_size = [(-1) ** (k - s + 1) * comb(n - s - 2, k - s - 1) for s in range(k)]
+        expected = {full ^ a: by_size[a.bit_count()] for a in range(1 << n) if a.bit_count() < k}
+        assert decompose_base_polytope(uniform(k, n)) == delta(n, expected), k
 
 
 def test_decompose_base_matches_transform(catalog5):

@@ -237,3 +237,41 @@ def test_graphic_with_loop_and_parallel():
     assert m.rank_value == 1
     assert m.bases == frozenset({0b001, 0b010})
     assert m.is_loop(3)
+
+
+def _random_graphic(rng, edges):
+    """Graphic matroid of a random loopless multigraph."""
+    vertices = rng.randint(5, 6)
+    return graphic(Graph(vertices, tuple(
+        tuple(rng.sample(range(1, vertices + 1), 2)) for _ in range(edges)
+    )))
+
+
+def _random_graphics():
+    rng = random.Random(20261017)
+    return [_random_graphic(rng, n) for n in (7, 8, 9, 10, 11, 12, 12)]
+
+
+def test_rank_table_matches_bases_past_n6():
+    for m in _random_graphics():
+        assert len(m.rank_table) == 1 << m.n
+        for s in range(1 << m.n):
+            assert m.rank(s) == max((s & b).bit_count() for b in m.bases), (m.n, s)
+
+
+def test_truncation_and_minor_ranks_past_n6():
+    rng = random.Random(7)
+    for m in _random_graphics():
+        r = m.rank_value
+        for i in range(1, r + 1):
+            t = truncate(m, i)
+            assert t.rank_table == bytes(min(i, v) for v in m.rank_table), (m.n, i)
+        for _ in range(3):
+            a = rng.randint(0, m.full_mask - 1)
+            c = contract(m, a)
+            d = delete(m, a)
+            for x in range(1 << c.n):
+                lifted = mask_of(c.parent_labels[e - 1] for e in elements_of(x))
+                assert c.rank(x) == m.rank(lifted | a) - m.rank(a), (m.n, a, x)
+                assert d.rank(x) == m.rank(lifted), (m.n, a, x)
+
