@@ -61,9 +61,8 @@ def fold_subsets(
     Upward, each mask S holding bit b becomes op(t[S], t[S - b]); downward,
     each mask S missing b becomes op(t[S], t[S + b]).  With ``add`` upward
     this sums over subsets (zeta), with ``sub`` upward it inverts that
-    (Moebius), with ``sub`` downward it is the alternating sum over
-    supersets, and with ``or_`` it ORs over supersets (downward) or subsets
-    (upward).  For each bit the pairs (S - b, S + b) are updated as ``map``
+    (Moebius), and with ``sub`` downward it is the alternating sum over
+    supersets.  For each bit the pairs (S - b, S + b) are updated as ``map``
     calls over whichever is fewer: the 2^b strided slices that interleave
     them, or the 2^(n-b-1) contiguous blocks that hold them.
     """

@@ -70,6 +70,8 @@ def _canonical(v: int, edges: tuple[tuple[int, int], ...]) -> CanonGraph:
 
 def connected_multigraphs(max_edges: int) -> list[Graph]:
     """Canonical connected multigraphs with 1..max_edges edges, in a fixed order."""
+    if max_edges < 1:
+        return []
     level: list[CanonGraph] = sorted(
         {_canonical(2, ((1, 2),)), _canonical(1, ((1, 1),))}
     )

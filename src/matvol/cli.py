@@ -202,18 +202,20 @@ def cmd_decompose(m: Matroid, digest: str, polytope: str) -> Report:
     return report
 
 
-def cmd_volume(m: Matroid, digest: str, polytope: str, threads: int, degree: bool) -> Report:
-    compute = {
-        "base": volume_base_polytope,
-        "indep": volume_independent_polytope,
-        "flag": volume_truncation_flag,
-    }[polytope]
-    vol = compute(m, threads)
+def cmd_volume(m: Matroid, digest: str, polytope: str, degree: bool) -> Report:
+    if degree:  # base polytope only; orbit_degree computes its volume once
+        vol, normalized = orbit_degree(m)
+    else:
+        compute = {
+            "base": volume_base_polytope,
+            "indep": volume_independent_polytope,
+            "flag": volume_truncation_flag,
+        }[polytope]
+        vol = compute(m)
     command = f"volume --polytope {polytope}" + (" --degree" if degree else "")
     report = Report(command, digest)
     report.lines.append(f"volume = {vol}")
     if degree:
-        _, normalized = orbit_degree(m)
         report.lines.append(f"normalized_volume = {normalized}")
     return report
 
@@ -295,7 +297,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("volume", help="lattice-normalized volume")
     p.add_argument("file")
     p.add_argument("--polytope", choices=["base", "indep", "flag"], default="base")
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="accepted for compatibility; has no effect on results")
     p.add_argument("--degree", action="store_true",
                    help="also print (n-1)! times the base polytope volume")
 
@@ -305,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="formula engines against the geometric oracle")
     p.add_argument("file", nargs="?")
     p.add_argument("--catalog", action="store_true")
-    p.add_argument("--max-n", type=int, default=5, dest="max_n")
+    p.add_argument("--max-n", type=_positive_int, default=5, dest="max_n")
     return parser
 
 
@@ -320,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.degree and args.polytope != "base":
                 parser.error("--degree applies to the base polytope only")
             m, digest = _load(args.file)
-            report = cmd_volume(m, digest, args.polytope, args.threads, args.degree)
+            report = cmd_volume(m, digest, args.polytope, args.degree)
         elif args.command == "invariants":
             m, digest = _load(args.file)
             report = cmd_invariants(m, digest)

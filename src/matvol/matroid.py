@@ -3,10 +3,25 @@
 A matroid lives on ground set [n] with n <= 20 so that every subset fits in
 a machine word and every subset-indexed table has exactly 2^n entries.
 Matroids are immutable.  The rank function is one dense table of 2^n bytes,
-``Matroid.rank_table``, built from the bases on first use in O(n 2^n) and
-never written again, so matroids share no mutable state between threads.
-Constructions that know a rank table already (truncations) hand it to the
-new matroid instead of rebuilding it from the bases.
+``Matroid.rank_table``, built from the bases on first use and never written
+again, so matroids share no mutable state between threads.
+
+The build is bit-parallel: a family of subsets is one 2^n-bit int whose bit
+S stands for subset S, so a step over all 2^n subsets is one big-int
+operation.  The basis bits close downward to the independent sets; for each
+k <= r the independent k-sets close upward to L_k, the sets of rank >= k;
+and r(S) = #{k : S in L_k}, summed as byte lanes of one int.
+
+Constructions that know a rank table already (truncations, contractions,
+deletions) derive the new matroid's table from it and read the bases off
+that table instead of rebuilding anything from the bases.
+
+``from_bases`` checks the basis exchange axiom on the table.  For a basis B
+and x in B, let C be B - x together with every y outside B for which
+B - x + y is not a basis, i.e. r(B - x + y) < r.  The axiom fails for (B, x)
+exactly when some basis lies inside C, i.e. r(C) = r: that basis B2 misses
+x, and no y in B2 - B completes B - x.  This takes O(|B| r (n - r)) table
+reads.
 """
 
 from __future__ import annotations
@@ -14,10 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from operator import lshift, or_
 from typing import Iterable
 
-from .bitset import elements_of, fold_subsets, mask_of, popcounts, subset_sort_key
+from .bitset import elements_of, mask_of, subset_sort_key
 from .errors import (
     EmptyBasisFamily,
     ExchangeAxiomViolation,
@@ -29,6 +43,32 @@ from .errors import (
 from .invariants import signed_beta_contractions
 
 MAX_GROUND_SET = 20
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_BYTE_VALUES = bytes(range(256))  # the identity for bytes.translate
+
+
+def _element_masks(n: int) -> list[int]:
+    """For each element e, the 2^n-bit int whose set bits are the masks holding e."""
+    size = 1 << n
+    out = []
+    for e in range(n):
+        width = 2 << e
+        h = ((1 << (1 << e)) - 1) << (1 << e)  # one period: 2^e clear bits, 2^e set
+        while width < size:
+            h |= h << width
+            width <<= 1
+        out.append(h)
+    return out
+
+
+def _size_masks(n: int, r: int) -> list[int]:
+    """For k = 0..r, the 2^n-bit int whose set bits are the masks of size k."""
+    out = [1] + [0] * r
+    for e in range(n):
+        shift = 1 << e
+        out = [1] + [out[k] | out[k - 1] << shift for k in range(1, r + 1)]
+    return out
 
 
 @dataclass(frozen=True)
@@ -70,19 +110,30 @@ class Matroid:
     def rank_table(self) -> bytes:
         """r(S) for every subset mask S, indexed by mask.
 
-        The subsets of bases are the independent sets (a downward OR pass),
-        and r(S) is the size of the largest independent subset of S (an
-        upward pass taking the max of |T| over independent T).  The max is
-        taken as an OR of 2^|T|, whose highest bit is the largest |T|: an OR
-        pass is twice as fast as one calling ``max``.  Built on first use, so
-        a matroid whose ranks are never read costs no table.
+        Built bit-parallel (see the module docstring): the independent sets
+        are the downward closure of the bases, level k is the upward closure
+        of the independent k-sets, and r(S) counts the levels holding S.
+        Each level becomes a 0/1 byte string and the levels add as byte
+        lanes of one int; a lane never exceeds 20, so nothing carries.
+        Built on first use, so a matroid whose ranks are never read costs no
+        table.
         """
-        independent = [0] * (1 << self.n)
+        size = 1 << self.n
+        bits = bytearray(max(size >> 3, 1))
         for b in self.bases:
-            independent[b] = 1
-        independent = fold_subsets(independent, self.n, or_, upward=False)
-        sizes = fold_subsets(map(lshift, independent, popcounts(self.n)), self.n, or_)
-        return bytes(v.bit_length() - 1 for v in sizes)
+            bits[b >> 3] |= 1 << (b & 7)
+        independent = int.from_bytes(bits, "little")
+        holding = _element_masks(self.n)
+        for e, h in enumerate(holding):
+            independent |= (independent & h) >> (1 << e)
+        total = 0
+        spread = f"0{size}b"
+        for size_k in _size_masks(self.n, self.rank_value)[1:]:
+            level = independent & size_k
+            for e, h in enumerate(holding):
+                level |= (level & ~h) << (1 << e)
+            total += int.from_bytes(format(level, spread).encode().translate(_BIT_BYTES), "big")
+        return total.to_bytes(size, "big")[::-1]
 
     def rank(self, subset: int) -> int:
         """Rank of a subset: the largest intersection with a basis."""
@@ -125,38 +176,33 @@ def from_bases(n: int, bases: Iterable[int], validate: bool = True) -> Matroid:
         raise UnequalCardinality(
             f"bases {sorted(elements_of(small))} and {sorted(elements_of(big))} differ in size"
         )
-    rank = sizes.pop()
+    m = Matroid(n=n, rank_value=sizes.pop(), bases=basis_set)
     if validate:
-        _check_exchange(basis_set)
-    return Matroid(n=n, rank_value=rank, bases=basis_set)
+        _check_exchange(m)
+    return m
 
 
-def _check_exchange(bases: frozenset[int]) -> None:
-    ordered = sorted(bases)
-    for b1 in ordered:
-        for b2 in ordered:
-            if b1 == b2:
-                continue
-            only_b1 = b1 & ~b2
-            only_b2 = b2 & ~b1
-            e_bits = only_b1
-            while e_bits:
-                e = e_bits & -e_bits
-                e_bits &= e_bits - 1
-                stripped = b1 & ~e
-                f_bits = only_b2
-                ok = False
-                while f_bits:
-                    f = f_bits & -f_bits
-                    f_bits &= f_bits - 1
-                    if (stripped | f) in bases:
-                        ok = True
-                        break
-                if not ok:
-                    raise ExchangeAxiomViolation(
-                        f"no exchange for element {elements_of(e)[0]} of basis "
-                        f"{sorted(elements_of(b1))} against basis {sorted(elements_of(b2))}"
-                    )
+def _check_exchange(m: Matroid) -> None:
+    """Raise unless the bases satisfy the exchange axiom (module docstring)."""
+    table = m.rank_table
+    r = m.rank_value
+    for b1 in sorted(m.bases):
+        outside = [1 << e for e in range(m.n) if not b1 >> e & 1]
+        xs = b1
+        while xs:
+            x = xs & -xs
+            xs ^= x
+            rest = b1 ^ x
+            closure = rest
+            for y in outside:
+                if table[rest | y] < r:
+                    closure |= y
+            if table[closure] == r:
+                b2 = min(b for b in m.bases if not b & ~closure)
+                raise ExchangeAxiomViolation(
+                    f"no exchange for element {elements_of(x)[0]} of basis "
+                    f"{sorted(elements_of(b1))} against basis {sorted(elements_of(b2))}"
+                )
 
 
 def uniform(k: int, n: int) -> Matroid:
@@ -199,35 +245,45 @@ def graphic(g: Graph) -> Matroid:
     return Matroid(n=m, rank_value=rank, bases=frozenset(bases))
 
 
-def _minor(parent: Matroid, removed: int, new_rank: int, keep_spanning: int) -> Matroid:
+def _from_table(n: int, rank: int, table: bytes, labels: tuple[int, ...] | None = None) -> Matroid:
+    """The matroid with this rank table; its bases are the sets S with r(S) = |S| = rank."""
+    bases = frozenset(x for x, v in enumerate(table) if v == rank and x.bit_count() == rank)
+    m = Matroid(n=n, rank_value=rank, bases=bases, parent_labels=labels)
+    m.__dict__["rank_table"] = table  # the cached_property's slot
+    return m
+
+
+def _minor(parent: Matroid, removed: int, spanning: int) -> Matroid:
     """Shared relabeling machinery for contraction and deletion.
 
-    ``keep_spanning`` is the mask whose rank a candidate basis must complete:
-    contraction passes the contracted set, deletion passes 0.
+    The minor's rank of X is r(X + C) - r(C) in the parent, gathered from
+    the parent's table: contraction passes C = ``spanning`` = the contracted
+    set, deletion passes 0.
     """
     labels = elements_of(parent.full_mask & ~removed)
-    m = len(labels)
-    target = parent.rank(keep_spanning) + new_rank
-    bases = set()
-    for combo in combinations(range(m), new_rank):
-        x = mask_of(labels[i] for i in combo)
-        if parent.rank(keep_spanning | x) == target:
-            bases.add(mask_of(i + 1 for i in combo))
-    return Matroid(n=m, rank_value=new_rank, bases=frozenset(bases), parent_labels=labels)
+    index = [spanning]
+    for label in labels:
+        bit = 1 << (label - 1)
+        index += [x | bit for x in index]
+    table = bytes(map(parent.rank_table.__getitem__, index))
+    base = table[0]
+    if base:
+        table = table.translate(bytes(base) + _BYTE_VALUES[: 256 - base])  # v -> v - base
+    return _from_table(len(labels), table[-1], table, labels)
 
 
 def contract(m: Matroid, a: int) -> Matroid:
     """Contraction M/A on ground set E-A relabeled to [n-|A|]."""
     if a == m.full_mask:
         return Matroid(n=0, rank_value=0, bases=frozenset({0}), parent_labels=())
-    return _minor(m, a, m.rank_value - m.rank(a), a)
+    return _minor(m, a, a)
 
 
 def delete(m: Matroid, a: int) -> Matroid:
     """Deletion M\\A on ground set E-A relabeled to [n-|A|]."""
     if a == m.full_mask:
         return Matroid(n=0, rank_value=0, bases=frozenset({0}), parent_labels=())
-    return _minor(m, a, m.rank(m.full_mask & ~a), 0)
+    return _minor(m, a, 0)
 
 
 def dual(m: Matroid) -> Matroid:
@@ -256,11 +312,7 @@ def truncate(m: Matroid, i: int) -> Matroid:
     """
     if not 1 <= i <= m.rank_value:
         raise InvalidTruncationRank(f"truncation rank {i} outside 1..{m.rank_value}")
-    table = m.rank_table.translate(bytes(min(i, v) for v in range(256)))
-    bases = frozenset(x for x, v in enumerate(table) if v == i and x.bit_count() == i)
-    t = Matroid(n=m.n, rank_value=i, bases=bases)
-    t.__dict__["rank_table"] = table  # the cached_property's slot
-    return t
+    return _from_table(m.n, i, m.rank_table.translate(_BYTE_VALUES[:i] + bytes([i]) * (256 - i)))
 
 
 def is_connected(m: Matroid) -> bool:

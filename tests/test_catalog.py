@@ -65,3 +65,8 @@ def test_cycle_graphs_are_uniform():
 def test_catalog_has_connected_and_disconnected(catalog6):
     flags = {is_connected(e.matroid) for e in catalog6}
     assert flags == {True, False}
+
+
+def test_no_multigraphs_below_one_edge():
+    assert connected_multigraphs(0) == []
+    assert connected_multigraphs(-3) == []

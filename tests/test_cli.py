@@ -266,6 +266,24 @@ def test_threads_below_one_rejected(tmp_path, capsys):
         assert "at least 1" in capsys.readouterr().err
 
 
+def test_verify_catalog_max_n_below_one_rejected(capsys):
+    for max_n in ("0", "-2"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--catalog", "--max-n", max_n])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "at least 1" in captured.err
+        assert captured.out == ""
+
+
+def test_volume_degree_of_disconnected_matroid(tmp_path, capsys):
+    path = write(tmp_path, "loop.matroid", "n: 2\nbases: 1\n")
+    code, out, err = run(capsys, ["volume", path, "--degree"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: degree is defined here for connected matroids only\n"
+
+
 def test_missing_file_is_validation_error(capsys):
     code, _, err = run(capsys, ["invariants", "/nonexistent/file.matroid"])
     assert code == 2

@@ -1,8 +1,12 @@
 import random
+import re
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matvol.bitset import elements_of, mask_of
+from matvol.bitset import elements_of, mask_of, popcounts
 from matvol.errors import (
     EmptyBasisFamily,
     ExchangeAxiomViolation,
@@ -275,3 +279,69 @@ def test_truncation_and_minor_ranks_past_n6():
                 assert c.rank(x) == m.rank(lifted | a) - m.rank(a), (m.n, a, x)
                 assert d.rank(x) == m.rank(lifted), (m.n, a, x)
 
+
+def _singletons(mask):
+    return [1 << (e - 1) for e in elements_of(mask)]
+
+
+def _satisfies_exchange(family):
+    """Brute-force basis exchange: every B1, B2, x in B1 - B2 has a y in B2 - B1."""
+    return all(
+        any((b1 & ~x | y) in family for y in _singletons(b2 & ~b1))
+        for b1 in family
+        for b2 in family
+        for x in _singletons(b1 & ~b2)
+    )
+
+
+@st.composite
+def _basis_families(draw):
+    """Equal-size families on n <= 7: arbitrary ones, and matroids missing some bases."""
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n))
+        every = [mask_of(c) for c in combinations(range(1, n + 1), k)]
+        return n, frozenset(draw(st.sets(st.sampled_from(every), min_size=1)))
+    if n >= 2 and draw(st.booleans()):
+        m = _random_graphic(random.Random(draw(st.integers(0, 2**32))), n)
+    else:
+        m = uniform(draw(st.integers(0, n)), n)
+    dropped = draw(st.sets(st.sampled_from(sorted(m.bases)), max_size=len(m.bases) - 1))
+    return n, m.bases - dropped
+
+
+@settings(max_examples=400, deadline=None)
+@given(_basis_families())
+def test_from_bases_accepts_exactly_exchange_families(case):
+    n, family = case
+    try:
+        m = from_bases(n, family)
+    except ExchangeAxiomViolation as exc:
+        assert not _satisfies_exchange(family)
+        found = re.fullmatch(
+            r"no exchange for element (\d+) of basis \[(.*)\] against basis \[(.*)\]", str(exc)
+        )
+        assert found, str(exc)
+        x = 1 << (int(found[1]) - 1)
+        b1, b2 = (mask_of(int(e) for e in g.split(",") if e) for g in found.group(2, 3))
+        assert b1 in family and b2 in family and x & b1 and not x & b2
+        assert all((b1 & ~x | y) not in family for y in _singletons(b2 & ~b1))
+    else:
+        assert _satisfies_exchange(family)
+        assert m.bases == family
+
+
+def test_rank_table_uniform_at_ground_set_cap():
+    m = uniform(10, 20)
+    assert m.rank_table == bytes(min(c, 10) for c in popcounts(20))
+
+
+def test_from_bases_validates_uniform_8_16():
+    bases = uniform(8, 16).bases
+    assert from_bases(16, bases).rank_table == bytes(min(c, 8) for c in popcounts(16))
+    # one missing basis leaves a (sparse paving) matroid; two that share seven
+    # elements do not: {1..7, 10} - 10 takes neither 8 nor 9 from {2..9}
+    relaxed = bases - {mask_of(range(1, 9))}
+    assert from_bases(16, relaxed).bases == relaxed
+    with pytest.raises(ExchangeAxiomViolation):
+        from_bases(16, relaxed - {mask_of([*range(1, 8), 9])})
