@@ -7,7 +7,7 @@ intersection and complement are single word operations.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 
 def mask_of(elements: Iterable[int]) -> int:
@@ -28,16 +28,6 @@ def elements_of(mask: int) -> tuple[int, ...]:
         mask >>= 1
         e += 1
     return tuple(out)
-
-
-def iter_submasks(mask: int) -> Iterator[int]:
-    """All submasks of ``mask``, including 0 and ``mask`` itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 def subset_sort_key(mask: int) -> tuple[int, int]:

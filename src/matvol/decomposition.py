@@ -166,16 +166,20 @@ def z_from_y_q(d: SignedDecomposition) -> ZProfile:
     return ZProfile(d.n, KIND_Q, values)
 
 
+def _complement_keyed(m: Matroid, table: Sequence[int], family: str) -> SignedDecomposition:
+    """The nonzero entries of a contraction table, table[A] keyed by E - A."""
+    full = m.full_mask
+    coeffs = {full ^ a: c for a, c in enumerate(table) if c and a != full}
+    return SignedDecomposition(m.n, family, coeffs)
+
+
 def decompose_base_polytope(m: Matroid) -> SignedDecomposition:
     """Base polytope as a signed sum of Delta faces.
 
     The coefficient of the summand on E-A is the signed beta invariant of
     M/A; it is nonzero exactly on the coconnected flats A.
     """
-    table = signed_beta_contractions(m)
-    full = m.full_mask
-    coeffs = {full ^ a: table[a] for a in range(1 << m.n) if a != full and table[a] != 0}
-    return SignedDecomposition(m.n, FAMILY_DELTA, coeffs)
+    return _complement_keyed(m, signed_beta_contractions(m), FAMILY_DELTA)
 
 
 def decompose_independent_polytope(m: Matroid) -> SignedDecomposition:
@@ -184,10 +188,7 @@ def decompose_independent_polytope(m: Matroid) -> SignedDecomposition:
     Same coefficients as the base polytope decomposition, on the coned
     family.
     """
-    table = signed_beta_contractions(m)
-    full = m.full_mask
-    coeffs = {full ^ a: table[a] for a in range(1 << m.n) if a != full and table[a] != 0}
-    return SignedDecomposition(m.n, FAMILY_D, coeffs)
+    return _complement_keyed(m, signed_beta_contractions(m), FAMILY_D)
 
 
 def decompose_truncation_flag(m: Matroid) -> SignedDecomposition:
@@ -197,10 +198,7 @@ def decompose_truncation_flag(m: Matroid) -> SignedDecomposition:
     M/I; coefficient-wise this equals the sum of the base polytope
     decompositions of all truncations of M.
     """
-    table = signed_gamma_contractions(m)
-    full = m.full_mask
-    coeffs = {full ^ a: table[a] for a in range(1 << m.n) if a != full and table[a] != 0}
-    return SignedDecomposition(m.n, FAMILY_DELTA, coeffs)
+    return _complement_keyed(m, signed_gamma_contractions(m), FAMILY_DELTA)
 
 
 def add(d1: SignedDecomposition, d2: SignedDecomposition) -> SignedDecomposition:

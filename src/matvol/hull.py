@@ -1,5 +1,11 @@
 """Exact convex hull machinery for integer point sets.
 
+All linear algebra is one integer elimination, ``_eliminate``: Bareiss's
+fraction-free row reduction with row swaps, skipping columns that have no
+pivot left.  It gives ``matrix_rank``, and ``integer_det`` for square input.
+The normal of the hyperplane through d points of Z^d is the vector of signed
+maximal minors of their difference rows, so no rational solve is needed.
+
 Facet enumeration runs the double description method on the cone of valid
 inequalities: the extreme rays of {(a, b) : a.p <= b for all points p} are
 exactly the facet inequalities of the hull (plus the trivial ray 0 <= b).
@@ -60,28 +66,40 @@ def _primitive_signed(v: Sequence[int]) -> Vec:
     return p
 
 
-def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer (or Fraction) matrix by exact elimination."""
-    work = [list(map(Fraction, row)) for row in rows]
-    if not work:
-        return 0
-    cols = len(work[0])
-    rank = 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
+def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Fraction-free row reduction: (rank, determinant) of an integer matrix.
+
+    Bareiss elimination with row swaps; a column with no nonzero entry left
+    below the pivot rows is skipped.  After k pivots every live entry is a
+    k x k minor of the row-permuted input, so each division by the previous
+    pivot is exact.  The determinant is that of a square input, 0 otherwise.
+    """
+    a = [list(row) for row in rows]
+    count = len(a)
+    width = len(a[0]) if a else 0
+    rank, sign, prev = 0, 1, 1
+    for col in range(width):
+        pivot = next((i for i in range(rank, count) if a[i][col]), None)
         if pivot is None:
             continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [x * inv for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
+        if pivot != rank:
+            a[rank], a[pivot] = a[pivot], a[rank]
+            sign = -sign
+        top = a[rank]
+        pv = top[col]
+        for i in range(rank + 1, count):
+            f = a[i][col]
+            a[i] = [(x * pv - f * y) // prev for x, y in zip(a[i], top)]
+        prev = pv
         rank += 1
-        if rank == len(work):
+        if rank == count:
             break
-    return rank
+    return rank, sign * prev if rank == count == width else 0
+
+
+def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix."""
+    return _eliminate(rows)[0]
 
 
 def affine_rank(points: Sequence[Sequence[int]]) -> int:
@@ -93,23 +111,8 @@ def affine_rank(points: Sequence[Sequence[int]]) -> int:
 
 
 def integer_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    a = [list(row) for row in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
+    """Determinant of a square integer matrix; 1 for the empty matrix."""
+    return _eliminate(rows)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -234,42 +237,19 @@ def exhaustive_facets(points: Sequence[Vec]) -> list[Facet]:
 
 
 def _hyperplane_normal(pts: Sequence[Vec]) -> Vec | None:
-    """Primitive normal of the hyperplane spanned by d points, if they span one."""
-    d = len(pts[0])
+    """Primitive normal of the hyperplane spanned by d points, if they span one.
+
+    Entry j is (-1)^j times the maximal minor of the d-1 difference rows
+    without column j; the vector is orthogonal to every row (a determinant
+    with a repeated row vanishes) and is zero exactly when the rows are
+    dependent.
+    """
     diffs = [[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]
-    if matrix_rank(diffs) != d - 1:
-        return None
-    kernel = _kernel_vector(diffs, d)
-    return _primitive_signed(kernel)
-
-
-def _kernel_vector(rows: Sequence[Sequence[int]], d: int) -> Vec:
-    """An integer vector orthogonal to d-1 independent rows."""
-    work = [list(map(Fraction, r)) for r in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(d):
-        pivot = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [x * inv for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        pivots.append(col)
-        rank += 1
-    free = next(c for c in range(d) if c not in pivots)
-    sol = [Fraction(0)] * d
-    sol[free] = Fraction(1)
-    for r, col in enumerate(pivots):
-        sol[col] = -work[r][free]
-    denom = 1
-    for x in sol:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    return tuple(int(x * denom) for x in sol)
+    minors = [
+        (-1) ** j * integer_det([row[:j] + row[j + 1 :] for row in diffs])
+        for j in range(len(pts[0]))
+    ]
+    return _primitive_signed(minors) if any(minors) else None
 
 
 def hull_vertex_flags(points: Sequence[Vec], facets: Sequence[Facet]) -> list[bool]:
@@ -372,9 +352,5 @@ def _project_inequality(c: Vec, e: int, a: Vec, b: int, i: int) -> Facet | None:
     new_e = s * (a[i] * e - c[i] * b)
     if not any(new_c):
         return None
-    g = _gcd_vec(new_c)
-    g = gcd(g, new_e)
-    if g > 1:
-        new_c = [x // g for x in new_c]
-        new_e //= g
-    return tuple(new_c), new_e
+    v = _primitive(new_c + [new_e])
+    return v[:-1], v[-1]

@@ -148,9 +148,6 @@ class Matroid:
     def has_loops(self) -> bool:
         return any(self.is_loop(e) for e in range(1, self.n + 1))
 
-    def sorted_bases(self) -> list[int]:
-        return sorted(self.bases)
-
 
 def _check_ground_set(n: int) -> None:
     if n < 1:
@@ -215,12 +212,18 @@ def uniform(k: int, n: int) -> Matroid:
 
 
 def graphic(g: Graph) -> Matroid:
-    """Graphic matroid of a multigraph: bases are its maximal spanning forests."""
+    """Graphic matroid of a multigraph: bases are its maximal spanning forests.
+
+    The union-find runs on the vertices the edges touch, renumbered densely,
+    so its size does not grow with the vertex labels.
+    """
     m = len(g.edges)
     _check_ground_set(m)
+    index = {v: i for i, v in enumerate(sorted({v for edge in g.edges for v in edge}))}
+    edges = [(index[u], index[v]) for u, v in g.edges]
 
     def forest_size(edge_indices: Iterable[int]) -> int:
-        parent = list(range(g.vertices + 1))
+        parent = list(range(len(index)))
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -230,7 +233,7 @@ def graphic(g: Graph) -> Matroid:
 
         count = 0
         for i in edge_indices:
-            u, v = g.edges[i]
+            u, v = edges[i]
             ru, rv = find(u), find(v)
             if ru != rv:
                 parent[ru] = rv
@@ -258,8 +261,11 @@ def _minor(parent: Matroid, removed: int, spanning: int) -> Matroid:
 
     The minor's rank of X is r(X + C) - r(C) in the parent, gathered from
     the parent's table: contraction passes C = ``spanning`` = the contracted
-    set, deletion passes 0.
+    set, deletion passes 0.  Removing the whole ground set leaves the empty
+    matroid, whose one basis is {}.
     """
+    if removed == parent.full_mask:
+        return Matroid(n=0, rank_value=0, bases=frozenset({0}), parent_labels=())
     labels = elements_of(parent.full_mask & ~removed)
     index = [spanning]
     for label in labels:
@@ -274,15 +280,11 @@ def _minor(parent: Matroid, removed: int, spanning: int) -> Matroid:
 
 def contract(m: Matroid, a: int) -> Matroid:
     """Contraction M/A on ground set E-A relabeled to [n-|A|]."""
-    if a == m.full_mask:
-        return Matroid(n=0, rank_value=0, bases=frozenset({0}), parent_labels=())
     return _minor(m, a, a)
 
 
 def delete(m: Matroid, a: int) -> Matroid:
     """Deletion M\\A on ground set E-A relabeled to [n-|A|]."""
-    if a == m.full_mask:
-        return Matroid(n=0, rank_value=0, bases=frozenset({0}), parent_labels=())
     return _minor(m, a, 0)
 
 

@@ -10,6 +10,13 @@ in a coordinate-sum hyperplane and are normalized with respect to the
 lattice spanned by the consecutive coordinate differences e_i - e_{i+1}
 (``ROOT``); independent set polytopes are full-dimensional and use the
 standard integer lattice (``STANDARD``).
+
+A point set that is not full-dimensional is hulled in an integer chart
+y = B(x - o), where the rows of B are independent differences p - o of the
+points from the first point o.  The chart is one-to-one on the affine hull,
+and a chart facet a.y <= b pulls back to (B^T a).x <= b + (B^T a).o, whose
+normal lies in the hull's direction space and is made primitive; so each
+facet has one integer form, with no rational arithmetic on the way.
 """
 
 from __future__ import annotations
@@ -17,16 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import gcd
 
 from .errors import DegenerateInput, DimensionMismatch
 from .hull import (
     Facet,
     Vec,
+    _greedy_affine_basis,
+    _primitive,
     affine_rank,
     dd_facets,
     hull_vertex_flags,
-    matrix_rank,
     normalized_volume,
 )
 from .matroid import Matroid
@@ -107,80 +114,36 @@ def vertices_flag(m: Matroid) -> VertexSet:
 # ---------------------------------------------------------------------------
 
 class _AffineChart:
-    """Exact rational coordinates on the affine hull of a point set."""
+    """The integer chart y = B(x - o) on the affine hull of a point set.
+
+    The rows of B are the differences from o = points[0] to the points of a
+    greedy affine basis, so B B^T is invertible and the chart is one-to-one
+    on the affine hull.
+    """
 
     def __init__(self, points: tuple[Vec, ...]):
         self.origin = points[0]
-        self.n = len(points[0])
-        diffs = [[x - y for x, y in zip(p, self.origin)] for p in points[1:]]
-        basis: list[list[int]] = []
-        for row in diffs:
-            if matrix_rank(basis + [row]) > len(basis):
-                basis.append(row)
-        self.k = len(basis)
-        self.basis = basis
-        gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
-        self.gram_inv = _invert_fraction_matrix(gram)
-        # coords(p) = gram_inv @ basis @ (p - origin)
-        self.coord_rows = [
-            [
-                sum(self.gram_inv[i][j] * Fraction(self.basis[j][c]) for j in range(self.k))
-                for c in range(self.n)
-            ]
-            for i in range(self.k)
+        self.basis = [
+            [x - y for x, y in zip(points[i], self.origin)] for i in _greedy_affine_basis(points)[1:]
         ]
 
-    def coords(self, p: Vec) -> tuple[Fraction, ...]:
-        shifted = [x - y for x, y in zip(p, self.origin)]
-        return tuple(sum(row[c] * shifted[c] for c in range(self.n)) for row in self.coord_rows)
-
-    def integer_coords(self, points) -> tuple[list[Vec], list[int]]:
-        """All points in chart coordinates, scaled per-axis to integers."""
-        raw = [self.coords(p) for p in points]
-        scales = []
-        for i in range(self.k):
-            s = 1
-            for coords in raw:
-                d = coords[i].denominator
-                s = s * d // gcd(s, d)
-            scales.append(s)
-        pts = [tuple(int(c[i] * scales[i]) for i in range(self.k)) for c in raw]
-        return pts, scales
-
-    def pull_back(self, a: Vec, b: int, scales: list[int]) -> Facet:
-        """Map a chart inequality a.y <= b back to a primitive one on x."""
-        alpha = [
-            sum(Fraction(a[i] * scales[i]) * self.coord_rows[i][c] for i in range(self.k))
-            for c in range(self.n)
+    def integer_coords(self, points) -> list[Vec]:
+        """All points in chart coordinates."""
+        return [
+            tuple(sum(u * (x - y) for u, x, y in zip(row, p, self.origin)) for row in self.basis)
+            for p in points
         ]
-        beta = Fraction(b) + sum(al * o for al, o in zip(alpha, self.origin))
-        denom = 1
-        for f in alpha + [beta]:
-            denom = denom * f.denominator // gcd(denom, f.denominator)
-        ints = [int(f * denom) for f in alpha]
-        off = int(beta * denom)
-        g = 0
-        for x in ints + [off]:
-            g = gcd(g, x)
-        if g > 1:
-            ints = [x // g for x in ints]
-            off //= g
-        return tuple(ints), off
 
+    def pull_back(self, a: Vec, b: int) -> Facet:
+        """Map a chart inequality a.y <= b back to a primitive one on x.
 
-def _invert_fraction_matrix(m: list[list[int]]) -> list[list[Fraction]]:
-    k = len(m)
-    work = [[Fraction(m[i][j]) for j in range(k)] + [Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-    for col in range(k):
-        pivot = next(i for i in range(col, k) if work[i][col] != 0)
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for i in range(k):
-            if i != col and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    return [row[k:] for row in work]
+        a.B(x - o) <= b reads (B^T a).x <= b + (B^T a).o, and B^T a lies in
+        the direction space of the hull, where a facet's primitive normal is
+        unique.
+        """
+        normal = [sum(ai * row[c] for ai, row in zip(a, self.basis)) for c in range(len(self.origin))]
+        v = _primitive(normal + [b + sum(u * o for u, o in zip(normal, self.origin))])
+        return v[:-1], v[-1]
 
 
 def _canonicalize_fixed_sum(facets: list[Facet], points: tuple[Vec, ...]) -> list[Facet]:
@@ -192,16 +155,8 @@ def _canonicalize_fixed_sum(facets: list[Facet], points: tuple[Vec, ...]) -> lis
     out = set()
     for a, b in facets:
         lo = min(a)
-        a2 = tuple(x - lo for x in a)
-        b2 = b - lo * s
-        g = 0
-        for x in a2:
-            g = gcd(g, x)
-        g = gcd(g, b2)
-        if g > 1:
-            a2 = tuple(x // g for x in a2)
-            b2 //= g
-        out.add((a2, b2))
+        v = _primitive([x - lo for x in a] + [b - lo * s])
+        out.add((v[:-1], v[-1]))
     return sorted(out)
 
 
@@ -217,9 +172,7 @@ def hull_facets(v: VertexSet) -> list[Facet]:
     if v.affine_dim == v.n:
         return sorted(dd_facets(v.points))
     chart = _AffineChart(v.points)
-    pts, scales = chart.integer_coords(v.points)
-    chart_facets = dd_facets(pts)
-    pulled = [chart.pull_back(a, b, scales) for a, b in chart_facets]
+    pulled = [chart.pull_back(a, b) for a, b in dd_facets(chart.integer_coords(v.points))]
     return _canonicalize_fixed_sum(pulled, v.points)
 
 
@@ -231,7 +184,7 @@ def minkowski_sum_vertices(v1: VertexSet, v2: VertexSet) -> VertexSet:
     if affine_rank(sums) == 0:
         return _vertex_set(v1.n, sums)
     chart = _AffineChart(tuple(sums))
-    pts, _ = chart.integer_coords(sums)
+    pts = chart.integer_coords(sums)
     facets = dd_facets(pts)
     flags = hull_vertex_flags(pts, facets)
     return _vertex_set(v1.n, (p for p, keep in zip(sums, flags) if keep))

@@ -138,7 +138,6 @@ def signed_tuple_sum(
     length: int,
     n: int,
     strict: bool,
-    census: dict[tuple[int, ...], TermGroup] | None = None,
 ) -> int:
     """Sum over all valid ordered tuples of the product of coefficients.
 
@@ -149,17 +148,11 @@ def signed_tuple_sum(
     record that can no longer be violated within the remaining budget is
     dropped, and once nothing can be violated at all the rest of the sum
     collapses to a power of the remaining coefficient total, since
-    unconstrained ordered tuples factorize.  When ``census`` is given it is
-    filled keyed by the sorted tuple of set cardinalities (small inputs
-    only: the census path enumerates every multiset).
+    unconstrained ordered tuples factorize.
     """
     bound = n - 1 if strict else n
     if length == 0:
-        if census is not None:
-            census[()] = TermGroup(1, 1)
         return 1
-    if census is not None:
-        return _tuple_sum_with_census(support, length, bound, census)
 
     ordered = sorted(support, key=lambda mc: (-mc[0].bit_count(), mc[0]))
     count = len(ordered)
@@ -223,21 +216,22 @@ def signed_tuple_sum(
     return sum(run_task(i, mult) for i in range(count) for mult in range(1, length + 1))
 
 
-def _tuple_sum_with_census(
-    support: Sequence[tuple[int, int]],
-    length: int,
-    bound: int,
-    census: dict[tuple[int, ...], TermGroup],
-) -> int:
-    """Exhaustive multiset walk that also groups ordered-tuple contributions
-    by the sorted cardinalities of the chosen sets."""
+def _census_walk(
+    support: Sequence[tuple[int, int]], length: int, bound: int
+) -> dict[tuple[int, ...], TermGroup]:
+    """Exhaustive multiset walk grouping ordered-tuple contributions by the
+    sorted cardinalities of the chosen sets.
+
+    It stays apart from ``signed_tuple_sum``: the collapse to a power of the
+    remaining total, which makes that engine fast, skips the very leaves a
+    census must see.
+    """
     ordered = sorted(support, key=lambda mc: subset_sort_key(mc[0]))
     fact = factorial(length)
-    grand = [0]
+    census: dict[tuple[int, ...], TermGroup] = {}
 
     def leaf(chosen, prod, denom):
         perms = fact // denom
-        grand[0] += perms * prod
         sig = []
         for m_, mu in chosen:
             sig.extend([m_.bit_count()] * mu)
@@ -276,22 +270,14 @@ def _tuple_sum_with_census(
             )
 
     dfs(0, length, [], [], 1, 1)
-    return grand[0]
+    return census
 
 
 def signed_tuple_sum_ordered(
     support: Sequence[tuple[int, int]], length: int, n: int, strict: bool
 ) -> int:
     """Naive ordered-tuple enumeration; validation oracle for small inputs."""
-    total = 0
-    for combo in product(range(len(support)), repeat=length):
-        sets = [support[i][0] for i in combo]
-        if _intersection_condition(sets, n, strict):
-            prod = 1
-            for i in combo:
-                prod *= support[i][1]
-            total += prod
-    return total
+    return sum(prod for _, prod in ordered_contributing_terms(support, length, n, strict))
 
 
 def ordered_contributing_terms(
@@ -416,9 +402,7 @@ def independent_volume_census(m: Matroid) -> dict[tuple[int, ...], TermGroup]:
     cardinalities of the contraction sets in each ordered tuple."""
     if not is_connected(m):
         raise DisconnectedMatroid("the term census expands the connected formula")
-    census: dict[tuple[int, ...], TermGroup] = {}
-    signed_tuple_sum(_beta_support(m), m.n, m.n, strict=False, census=census)
-    return census
+    return _census_walk(_beta_support(m), m.n, m.n)
 
 
 def flag_volume_ordered_terms(m: Matroid) -> list[tuple[tuple[int, ...], int]]:

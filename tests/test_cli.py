@@ -288,3 +288,27 @@ def test_missing_file_is_validation_error(capsys):
     code, _, err = run(capsys, ["invariants", "/nonexistent/file.matroid"])
     assert code == 2
     assert "error:" in err
+
+
+def test_graph_vertex_labels_do_not_size_the_work(tmp_path):
+    """A huge vertex label costs nothing: the union-find is keyed by the
+    vertices present.  The CLI runs in a child whose address space is capped
+    at 1 GiB, so a table sized by the label fails there instead of paging."""
+    import resource
+    import subprocess
+    import sys
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    outputs = []
+    for edges in ("1-1000000000000 1000000000000-2 2-1", "1-3 3-2 2-1"):
+        path = write(tmp_path, "g.matroid", f"n: 3\ngraph: {edges}\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "matvol.cli", "invariants", path],
+            capture_output=True, text=True, preexec_fn=capped, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.splitlines()[2:])  # past the command and digest lines
+    assert outputs[0] == outputs[1]
+    assert "rank = 2" in outputs[0]

@@ -1,0 +1,114 @@
+"""The one integer elimination behind rank, determinant and hyperplane normals."""
+
+from fractions import Fraction
+from itertools import permutations
+from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from matvol.hull import _hyperplane_normal, integer_det, matrix_rank
+
+
+def _fraction_rank(rows):
+    """Reference rank: Gauss-Jordan over the rationals."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for i in range(len(work)):
+            if i != rank and work[i][col] != 0:
+                f = work[i][col] / work[rank][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+def _permutation_det(rows):
+    """Reference determinant: the Leibniz expansion over all permutations."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        prod = 1
+        for i, j in enumerate(perm):
+            prod *= rows[i][j]
+        total += -prod if inversions % 2 else prod
+    return total
+
+
+@st.composite
+def _matrices(draw, max_size=7, square=False):
+    """Integer matrices up to max_size x max_size: wide, tall, zero, and of
+    every rank, the low ranks as products of thinner factors; rows and
+    columns are then permuted so pivots are not where elimination looks first."""
+    rows = draw(st.integers(1, max_size))
+    cols = rows if square else draw(st.integers(1, max_size))
+    inner = draw(st.integers(0, min(rows, cols)))
+    entry = st.integers(-4, 4)
+    left = draw(st.lists(st.lists(entry, min_size=inner, max_size=inner), min_size=rows, max_size=rows))
+    right = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=inner, max_size=inner))
+    m = [[sum(a * right[k][j] for k, a in enumerate(row)) for j in range(cols)] for row in left]
+    if draw(st.booleans()):  # full-rank-ish noise on top
+        m = [[x + draw(entry) for x in row] for row in m]
+    row_order = draw(st.permutations(range(rows)))
+    col_order = draw(st.permutations(range(cols)))
+    return [[m[i][j] for j in col_order] for i in row_order]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_matrices())
+def test_matrix_rank_matches_fraction_elimination(m):
+    assert matrix_rank(m) == _fraction_rank(m)
+
+
+def test_matrix_rank_edge_shapes():
+    assert matrix_rank([]) == 0
+    assert matrix_rank([[0, 0, 0], [0, 0, 0]]) == 0
+    assert matrix_rank([[0, 0, 5], [0, 0, 7]]) == 1  # pivot only in the last column
+    assert matrix_rank([[0], [0], [3], [0]]) == 1
+    assert matrix_rank([[0, 1, 2], [0, 2, 4], [1, 0, 0]]) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices(max_size=4, square=True))
+def test_integer_det_matches_permutation_expansion(m):
+    assert integer_det(m) == _permutation_det(m)
+
+
+def test_integer_det_needs_row_swaps():
+    assert integer_det([[0, 1], [1, 0]]) == -1
+    assert integer_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert integer_det([[0, 2, 1], [3, 0, 0], [0, 0, 4]]) == -24
+    assert integer_det([]) == 1
+
+
+@st.composite
+def _point_sets(draw):
+    """d points in Z^d, d = 1..5: the rows of a square matrix of any rank,
+    shifted by a common offset, so they often lie on a lower flat."""
+    m = draw(_matrices(max_size=5, square=True))
+    offset = draw(st.lists(st.integers(-3, 3), min_size=len(m), max_size=len(m)))
+    return [tuple(x + o for x, o in zip(row, offset)) for row in m]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_point_sets())
+def test_hyperplane_normal_is_primitive_and_orthogonal(pts):
+    d = len(pts[0])
+    diffs = [[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]
+    normal = _hyperplane_normal(pts)
+    if _fraction_rank(diffs) != d - 1:
+        assert normal is None
+        return
+    assert normal is not None and len(normal) == d
+    for row in diffs:
+        assert sum(a * b for a, b in zip(normal, row)) == 0
+    g = 0
+    for x in normal:
+        g = gcd(g, x)
+    assert g == 1
+    assert next(x for x in normal if x) > 0

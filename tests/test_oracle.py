@@ -195,3 +195,26 @@ def test_vertex_set_validation():
         VertexSet(2, ((0, 0), (0, 0)))
     with pytest.raises(ValueError):
         VertexSet(2, ((0, 0, 1),))
+
+
+# Exact facets of lower-dimensional hulls, recorded before the affine chart
+# moved from rational Gram-inverse coordinates to integer ones.
+
+def test_hull_facets_codimension_two_triangle_golden():
+    from matvol.matroid import direct_sum
+
+    triangle = vertices_base(direct_sum(uniform(1, 1), uniform(2, 3)))
+    assert triangle.affine_dim == 2
+    assert hull_facets(triangle) == [
+        ((1, 0, 0, 3), 4),
+        ((1, 0, 3, 0), 4),
+        ((1, 3, 0, 0), 4),
+    ]
+
+
+def test_hull_facets_tilted_plane_golden():
+    # five points on x + 2y + 3z = 6; the coordinate sums differ, so the
+    # normals are not reduced modulo the all-ones vector
+    v = VertexSet(3, ((0, 0, 2), (0, 3, 0), (1, 1, 1), (3, 0, 1), (6, 0, 0)))
+    assert v.affine_dim == 2
+    assert hull_facets(v) == [((-13, 2, 3), 6), ((1, -5, 3), 6), ((3, 6, -5), 18)]

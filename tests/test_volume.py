@@ -20,6 +20,7 @@ from matvol.volume import (
     flag_volume_ordered_terms,
     independent_volume_census,
     orbit_degree,
+    ordered_contributing_terms,
     sdr_condition,
     sdr_condition_intersection_bounds,
     signed_tuple_sum,
@@ -209,3 +210,25 @@ def test_thread_determinism_volumes():
 def test_census_rejects_disconnected():
     with pytest.raises(DisconnectedMatroid):
         independent_volume_census(direct_sum(uniform(1, 1), uniform(1, 1)))
+
+
+def test_independent_census_groups_ordered_terms(catalog5):
+    """The census walker against a grouping of the naive ordered enumeration."""
+    from matvol.invariants import signed_beta_contractions
+
+    checked = 0
+    for entry in catalog5:
+        m = entry.matroid
+        if m.n > 4 or not is_connected(m):
+            continue
+        table = signed_beta_contractions(m)
+        support = [(a, c) for a, c in enumerate(table) if c and a != m.full_mask]
+        expected = {}
+        for sets, prod in ordered_contributing_terms(support, m.n, m.n, strict=False):
+            key = tuple(sorted(s.bit_count() for s in sets))
+            tuples, signed = expected.get(key, (0, 0))
+            expected[key] = (tuples + 1, signed + prod)
+        census = independent_volume_census(m)
+        assert census == {k: TermGroup(*v) for k, v in expected.items()}, entry.name
+        checked += 1
+    assert checked >= 5
