@@ -9,6 +9,9 @@ maximal minors of their difference rows, so no rational solve is needed.
 Facet enumeration runs the double description method on the cone of valid
 inequalities: the extreme rays of {(a, b) : a.p <= b for all points p} are
 exactly the facet inequalities of the hull (plus the trivial ray 0 <= b).
+Each ray carries its incidence set, the bitmask of processed rows it lies on,
+forward: a ray made from an adjacent pair gets the intersection of its
+parents' sets plus the new row, so no set is recomputed from the rows.
 Everything is integer arithmetic; rays are kept primitive by gcd division.
 
 Volumes are lattice-normalized: for full-dimensional integer point sets the
@@ -124,6 +127,8 @@ def _greedy_affine_basis(points: Sequence[Vec]) -> list[int]:
     chosen = [0]
     rank = 0
     for i in range(1, len(points)):
+        if rank == len(points[0]):
+            break  # the differences span R^d: no later point is independent
         diffs = [
             [x - y for x, y in zip(points[j], points[0])] for j in chosen[1:] + [i]
         ]
@@ -154,9 +159,10 @@ def dd_facets(points: Sequence[Vec]) -> list[Facet]:
     dim = d + 1
     lin: list[Vec] = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
     rays: list[Vec] = []
-    processed: list[Vec] = []
+    masks: list[int] = []  # bit k of masks[i]: rays[i] lies on rows[k]
 
-    for c in rows:
+    for idx, c in enumerate(rows):
+        bit = 1 << idx
         pivot = next((i for i, v in enumerate(lin) if _dot(c, v) != 0), None)
         if pivot is not None:
             v = lin.pop(pivot)
@@ -168,50 +174,42 @@ def dd_facets(points: Sequence[Vec]) -> list[Facet]:
                 _primitive_signed([dv * wx - _dot(c, w) * vx for wx, vx in zip(w, v)])
                 for w in lin
             ]
+            # each moved ray is orthogonal to c and keeps its earlier rows, as v
+            # is orthogonal to them; -v lies on every earlier row but not on c
             rays = [
                 _primitive([dv * rx - _dot(c, r) * vx for rx, vx in zip(r, v)])
                 for r in rays
             ]
+            masks = [a | bit for a in masks]
             rays.append(_primitive([-x for x in v]))
-        else:
-            dots = [_dot(c, r) for r in rays]
-            if any(x > 0 for x in dots):
-                active = [_active_mask(r, processed) for r in rays]
-                keep = [r for r, x in zip(rays, dots) if x <= 0]
-                new = []
-                for i, ri in enumerate(rays):
-                    if dots[i] <= 0:
-                        continue
-                    for j, rj in enumerate(rays):
-                        if dots[j] >= 0:
-                            continue
-                        common = active[i] & active[j]
-                        if any(
-                            k != i and k != j and common & ~active[k] == 0
-                            for k in range(len(rays))
-                        ):
-                            continue
-                        combo = [
-                            dots[i] * rjx - dots[j] * rix for rix, rjx in zip(ri, rj)
-                        ]
-                        new.append(_primitive(combo))
-                rays = keep + new
-        processed.append(c)
+            masks.append(bit - 1)
+            continue
+        dots = [_dot(c, r) for r in rays]
+        masks = [a | bit if x == 0 else a for a, x in zip(masks, dots)]
+        if all(x <= 0 for x in dots):
+            continue
+        keep = [k for k, x in enumerate(dots) if x <= 0]
+        new, new_masks = [], []
+        # adjacent rays share a face of codimension 2 in the pointed cone
+        least = dim - 2 - len(lin)
+        for i, di in enumerate(dots):
+            if di <= 0:
+                continue
+            for j, dj in enumerate(dots):
+                if dj >= 0:
+                    continue
+                common = masks[i] & masks[j]
+                if common.bit_count() < least or any(
+                    k != i and k != j and common & a == common
+                    for k, a in enumerate(masks)
+                ):
+                    continue
+                new.append(_primitive([di * y - dj * x for x, y in zip(rays[i], rays[j])]))
+                new_masks.append(common | bit)
+        rays = [rays[k] for k in keep] + new
+        masks = [masks[k] for k in keep] + new_masks
 
-    facets = set()
-    for ray in rays:
-        a, b = ray[:-1], ray[-1]
-        if any(a):
-            facets.add((tuple(a), b))
-    return sorted(facets)
-
-
-def _active_mask(ray: Vec, constraints: list[Vec]) -> int:
-    mask = 0
-    for idx, c in enumerate(constraints):
-        if _dot(c, ray) == 0:
-            mask |= 1 << idx
-    return mask
+    return sorted({(r[:-1], r[-1]) for r in rays if any(r[:-1])})
 
 
 def exhaustive_facets(points: Sequence[Vec]) -> list[Facet]:

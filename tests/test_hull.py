@@ -1,13 +1,22 @@
-"""The one integer elimination behind rank, determinant and hyperplane normals."""
+"""The one integer elimination behind rank, determinant and hyperplane normals,
+and the double description against exhaustive facet enumeration."""
 
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from matvol.hull import _hyperplane_normal, integer_det, matrix_rank
+from matvol.hull import (
+    _greedy_affine_basis,
+    _hyperplane_normal,
+    affine_rank,
+    dd_facets,
+    exhaustive_facets,
+    integer_det,
+    matrix_rank,
+)
 
 
 def _fraction_rank(rows):
@@ -112,3 +121,31 @@ def test_hyperplane_normal_is_primitive_and_orthogonal(pts):
         g = gcd(g, x)
     assert g == 1
     assert next(x for x in normal if x) > 0
+
+
+@st.composite
+def _crowded_point_sets(draw):
+    """Full-dimensional sets of up to 14 points of {0,1,2}^d, d = 2..4: on so
+    small a grid many points share a facet, and most rays meet several rows."""
+    d = draw(st.integers(2, 4))
+    point = st.tuples(*[st.integers(0, 2)] * d)
+    pts = draw(st.lists(point, min_size=d + 1, max_size=14, unique=True))
+    assume(affine_rank(pts) == d)
+    return draw(st.permutations(pts))
+
+
+def _greedy_basis_full_scan(points):
+    """Reference: the greedy affine basis, trying every point."""
+    chosen = [0]
+    for i in range(1, len(points)):
+        rows = [[x - y for x, y in zip(points[j], points[0])] for j in chosen[1:] + [i]]
+        if matrix_rank(rows) == len(chosen):
+            chosen.append(i)
+    return chosen
+
+
+@settings(max_examples=300, deadline=None)
+@given(_crowded_point_sets())
+def test_dd_facets_match_exhaustive_on_crowded_grids(pts):
+    assert dd_facets(pts) == exhaustive_facets(pts)
+    assert _greedy_affine_basis(pts) == _greedy_basis_full_scan(pts)

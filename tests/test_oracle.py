@@ -218,3 +218,12 @@ def test_hull_facets_tilted_plane_golden():
     v = VertexSet(3, ((0, 0, 2), (0, 3, 0), (1, 1, 1), (3, 0, 1), (6, 0, 0)))
     assert v.affine_dim == 2
     assert hull_facets(v) == [((-13, 2, 3), 6), ((1, -5, 3), 6), ((3, 6, -5), 18)]
+
+
+@pytest.mark.parametrize("n, facets, volume", [(3, 6, 3), (4, 14, 16), (5, 30, 125)])
+def test_permutohedron_golden(n, facets, volume):
+    # the flag polytope of U(n-1, n) is the permutohedron of order n: one facet
+    # per proper nonempty subset, and n^(n-2) unit simplices (Cayley's formula)
+    v = vertices_flag(uniform(n - 1, n))
+    assert len(hull_facets(v)) == 2**n - 2 == facets
+    assert volume_exact(v, LatticeFrame.ROOT) == volume == n ** (n - 2)
