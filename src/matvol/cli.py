@@ -185,7 +185,11 @@ def _load(path: str) -> tuple[Matroid, str]:
     with open(path, "rb") as fh:
         data = fh.read()
     digest = hashlib.sha256(data).hexdigest()
-    return parse_matroid_file(data.decode("utf-8")), digest
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: byte {data[exc.start]:#04x} at offset {exc.start}") from None
+    return parse_matroid_file(text), digest
 
 
 def cmd_decompose(m: Matroid, digest: str, polytope: str) -> Report:

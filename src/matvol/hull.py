@@ -16,9 +16,11 @@ Everything is integer arithmetic; rays are kept primitive by gcd division.
 
 Volumes are lattice-normalized: for full-dimensional integer point sets the
 normalized volume equals the Euclidean volume, computed by a recursive
-pyramid decomposition.  A face's facet candidates are inherited from its
-parent (every ridge is the intersection of two facets), so the double
-description runs once per polytope rather than once per face.
+pyramid decomposition (the facet-pyramid method compared by Bueler, Enge and
+Fukuda, 2000).  Faces are point masks; facets of a facet are the maximal
+intersections.  Each facet's mask comes from one scan of the points, so the
+double description and the incidence scan run once per polytope, and the
+vertex test reads the same masks.
 
 An exhaustive hyperplane-enumeration facet finder is kept alongside as an
 independent cross-check for small inputs.
@@ -27,12 +29,15 @@ independent cross-check for small inputs.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import factorial, gcd
-from typing import Sequence
+from operator import and_
+from typing import Iterable, Iterator, Sequence
 
 Vec = tuple[int, ...]
 Facet = tuple[Vec, int]
+MaskedFacet = tuple[Vec, int, int]  # (a, b, bitmask of the points on a.x = b)
 
 
 # ---------------------------------------------------------------------------
@@ -43,16 +48,9 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-def _gcd_vec(v: Sequence[int]) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
-
-
 def _primitive(v: Sequence[int]) -> Vec:
     """Divide by the gcd, keeping orientation."""
-    g = _gcd_vec(v)
+    g = gcd(*v)
     if g > 1:
         return tuple(x // g for x in v)
     return tuple(v)
@@ -250,14 +248,22 @@ def _hyperplane_normal(pts: Sequence[Vec]) -> Vec | None:
     return _primitive_signed(minors) if any(minors) else None
 
 
+def _facet_masks(points: Sequence[Vec], facets: Sequence[Facet]) -> list[MaskedFacet]:
+    """Each facet with the bitmask of the points on it (bit k: points[k])."""
+    return [
+        (a, b, sum(1 << k for k, p in enumerate(points) if _dot(a, p) == b))
+        for a, b in facets
+    ]
+
+
 def hull_vertex_flags(points: Sequence[Vec], facets: Sequence[Facet]) -> list[bool]:
-    """Whether each point is a vertex: its active facet normals span R^d."""
-    d = len(points[0])
-    flags = []
-    for p in points:
-        active = [a for a, b in facets if _dot(a, p) == b]
-        flags.append(len(active) >= d and matrix_rank(active) == d)
-    return flags
+    """Whether each point is a vertex: the facets through it meet in it alone."""
+    masks = [mask for _, _, mask in _facet_masks(points, facets)]
+    everything = (1 << len(points)) - 1
+    return [
+        reduce(and_, (mask for mask in masks if mask >> k & 1), everything) == 1 << k
+        for k in range(len(points))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +278,9 @@ def normalized_volume(points: Sequence[Vec]) -> Fraction:
         return Fraction(1)
     if affine_rank(pts) != d:
         raise ValueError("normalized_volume needs a full-dimensional point set")
-    memo: dict = {}
     if len(pts) == d + 1:
         return _simplex_volume(pts, d)
-    facets = dd_facets(pts)
-    return _volume_rec(tuple(pts), facets, d, memo, candidates_are_facets=True)
+    return _volume_rec(tuple(pts), _facet_masks(pts, dd_facets(pts)), {})
 
 
 def _simplex_volume(pts: Sequence[Vec], d: int) -> Fraction:
@@ -284,71 +288,62 @@ def _simplex_volume(pts: Sequence[Vec], d: int) -> Fraction:
     return Fraction(abs(integer_det(rows)), factorial(d))
 
 
-def _volume_rec(
-    pts: tuple[Vec, ...],
-    candidates: Sequence[Facet],
-    d: int,
-    memo: dict,
-    candidates_are_facets: bool = False,
-) -> Fraction:
+def _volume_rec(pts: tuple[Vec, ...], facets: Iterable[MaskedFacet], memo: dict) -> Fraction:
+    """Volume of conv(pts) from its facets (a, b, mask), a.x <= b.
+
+    Faces are point masks (bit k: pts[k]); facets of a facet are the maximal
+    intersections.  The hull is the union of the pyramids from the apex
+    pts[0] over the facets missing it.  ``facets`` is read only past the
+    shortcuts and the memo, so a face that needs none computes none.
+    """
+    d = len(pts[0])
     if d == 1:
-        lo = min(p[0] for p in pts)
-        hi = max(p[0] for p in pts)
-        return Fraction(hi - lo)
+        return Fraction(max(pts)[0] - min(pts)[0])
     if len(pts) == d + 1:
         return _simplex_volume(pts, d)
-    key = (d, pts)
+    key = tuple(sorted(pts))
     if key in memo:
         return memo[key]
 
-    facets: list[tuple[Facet, tuple[Vec, ...]]] = []
-    seen = set()
-    for a, b in candidates:
-        g = _gcd_vec(a)
-        if g > 1:
-            if b % g != 0:
-                continue  # plane carries no integer points, cannot be a facet
-            norm = tuple(x // g for x in a)
-            fb = b // g
-        else:
-            norm, fb = tuple(a), b
-        if (norm, fb) in seen:
-            continue
-        seen.add((norm, fb))
-        touching = tuple(p for p in pts if _dot(norm, p) == fb)
-        if len(touching) < d:
-            continue
-        if candidates_are_facets or affine_rank(touching) == d - 1:
-            facets.append(((norm, fb), touching))
-
+    facets = list(facets)
     apex = pts[0]
     total = Fraction(0)
-    for (a, b), touching in facets:
-        height = b - _dot(a, apex)
-        if height == 0:
-            continue
+    for a, b, mask in facets:
+        if mask & 1:
+            continue  # the apex lies on this facet: a flat pyramid
         i = max(range(d), key=lambda j: abs(a[j]))
-        sub_pts = tuple(sorted(p[:i] + p[i + 1 :] for p in touching))
-        sub_candidates = []
-        for (c, e), _ in facets:
-            if (c, e) == (a, b):
-                continue
-            projected = _project_inequality(c, e, a, b, i)
-            if projected is not None:
-                sub_candidates.append(projected)
-        sub_vol = _volume_rec(sub_pts, sub_candidates, d - 1, memo)
-        total += Fraction(height, abs(a[i])) * sub_vol
+        on = [k for k in range(len(pts)) if mask >> k & 1]
+        sub_pts = tuple(pts[k][:i] + pts[k][i + 1 :] for k in on)
+        sub_vol = _volume_rec(sub_pts, _facets_of_facet(facets, a, b, mask, i, on), memo)
+        total += Fraction(b - _dot(a, apex), abs(a[i])) * sub_vol
     result = total / d
     memo[key] = result
     return result
 
 
-def _project_inequality(c: Vec, e: int, a: Vec, b: int, i: int) -> Facet | None:
+def _facets_of_facet(
+    facets: list[MaskedFacet], a: Vec, b: int, mask: int, i: int, on: list[int]
+) -> Iterator[MaskedFacet]:
+    """Facets of the facet (a, b, mask), with coordinate i eliminated.
+
+    They are the inclusion-maximal intersections mask & G over the other
+    facets G: a proper face lies in some ridge, and a ridge in exactly two
+    facets.  Each keeps G's inequality restricted to a.x = b, and its mask
+    is renumbered over the facet's points ``on``.
+    """
+    meets = [(mask & other, c, e) for c, e, other in facets if other != mask]
+    ridges: list[tuple[int, Vec, int]] = []
+    for common, c, e in sorted(meets, key=lambda t: -t[0].bit_count()):
+        if all(common & r != common for r, _, _ in ridges):
+            ridges.append((common, c, e))
+    for r, c, e in ridges:
+        sub_mask = sum(1 << j for j, k in enumerate(on) if r >> k & 1)
+        yield (*_project_inequality(c, e, a, b, i), sub_mask)
+
+
+def _project_inequality(c: Vec, e: int, a: Vec, b: int, i: int) -> Facet:
     """Substitute the equality a.x = b into c.x <= e, eliminating coordinate i."""
     s = 1 if a[i] > 0 else -1
     new_c = [s * (a[i] * c[j] - c[i] * a[j]) for j in range(len(c)) if j != i]
-    new_e = s * (a[i] * e - c[i] * b)
-    if not any(new_c):
-        return None
-    v = _primitive(new_c + [new_e])
+    v = _primitive(new_c + [s * (a[i] * e - c[i] * b)])
     return v[:-1], v[-1]

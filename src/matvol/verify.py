@@ -14,6 +14,7 @@ import itertools
 import random
 import zlib
 from dataclasses import dataclass
+from typing import Callable
 
 from .decomposition import (
     SignedDecomposition,
@@ -124,20 +125,27 @@ def _signed_sum_vertex_sets(m: Matroid, d: SignedDecomposition):
     return left, right
 
 
+def _support_mismatches(
+    d: SignedDecomposition, optimum: Callable[[list[int]], int], seed: int, name: str, check: str, source: str
+) -> list[Mismatch]:
+    """The first of SUPPORT_DIRECTIONS random directions, entries in -9..9, where
+    the decomposition's support function differs from ``optimum``."""
+    rng = random.Random(seed)
+    for _ in range(SUPPORT_DIRECTIONS):
+        w = rng.choices(range(-9, 10), k=d.n)
+        lhs, rhs = support_function(d, w), optimum(w)
+        if lhs != rhs:
+            return [Mismatch(name, check, f"direction {w}: decomposition gives {lhs}, {source} give {rhs}")]
+    return []
+
+
 def check_base_polytope(m: Matroid, name: str) -> list[Mismatch]:
     out = []
     d = decompose_base_polytope(m)
     via_transform = y_from_z_gp(z_from_matroid(m))
     if d != via_transform:
         out.append(Mismatch(name, "base-decomposition", "contraction coefficients disagree with the profile inversion"))
-    rng = random.Random(_seed_for(m))
-    for _ in range(SUPPORT_DIRECTIONS):
-        w = [rng.randint(-9, 9) for _ in range(m.n)]
-        lhs = support_function(d, w)
-        rhs = max_basis_weight(m, w)
-        if lhs != rhs:
-            out.append(Mismatch(name, "base-support", f"direction {w}: decomposition gives {lhs}, bases give {rhs}"))
-            break
+    out += _support_mismatches(d, lambda w: max_basis_weight(m, w), _seed_for(m), name, "base-support", "bases")
     left, right = _signed_sum_vertex_sets(m, d)
     if left != right:
         out.append(Mismatch(name, "base-hull-identity", f"vertex sets differ: {sorted(left - right)[:3]} vs {sorted(right - left)[:3]}"))
@@ -155,14 +163,9 @@ def check_independent_polytope(m: Matroid, name: str) -> list[Mismatch]:
     via_transform = y_from_z_q(z_from_matroid_indep(m))
     if d != via_transform:
         out.append(Mismatch(name, "indep-decomposition", "contraction coefficients disagree with the profile inversion"))
-    rng = random.Random(_seed_for(m) ^ 0x5EED)
-    for _ in range(SUPPORT_DIRECTIONS):
-        w = [rng.randint(-9, 9) for _ in range(m.n)]
-        lhs = support_function(d, w)
-        rhs = max_independent_weight(m, w)
-        if lhs != rhs:
-            out.append(Mismatch(name, "indep-support", f"direction {w}: decomposition gives {lhs}, independents give {rhs}"))
-            break
+    out += _support_mismatches(
+        d, lambda w: max_independent_weight(m, w), _seed_for(m) ^ 0x5EED, name, "indep-support", "independents"
+    )
     if m.n <= ORACLE_VOLUME_MAX_N:
         formula = volume_independent_polytope(m)
         if m.has_loops():
@@ -185,14 +188,9 @@ def check_flag_polytope(m: Matroid, name: str) -> list[Mismatch]:
         summed = piece if summed is None else add(summed, piece)
     if summed != d:
         out.append(Mismatch(name, "flag-decomposition", "gamma coefficients disagree with the truncation sum"))
-    rng = random.Random(_seed_for(m) ^ 0xF1A6)
-    for _ in range(SUPPORT_DIRECTIONS):
-        w = [rng.randint(-9, 9) for _ in range(m.n)]
-        lhs = support_function(d, w)
-        rhs = sum(max_basis_weight(t, w) for t in truncations)
-        if lhs != rhs:
-            out.append(Mismatch(name, "flag-support", f"direction {w}: decomposition gives {lhs}, truncations give {rhs}"))
-            break
+    out += _support_mismatches(
+        d, lambda w: sum(max_basis_weight(t, w) for t in truncations), _seed_for(m) ^ 0xF1A6, name, "flag-support", "truncations"
+    )
     if m.n <= ORACLE_FLAG_MAX_N:
         formula = volume_truncation_flag(m)
         geometric = volume_exact(vertices_flag(m), LatticeFrame.ROOT)

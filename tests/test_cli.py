@@ -242,6 +242,16 @@ def test_exit_code_on_parse_error(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_non_utf8_file_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.matroid"
+    path.write_bytes(b"n: 3\nbases: 1,2 \xff\n")
+    for argv in (["decompose", str(path)], ["verify", str(path)]):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: not UTF-8 text: byte 0xff at offset 16\n"
+
+
 def test_exit_code_on_flag_volume_of_loopy_matroid(tmp_path, capsys):
     path = write(tmp_path, "loopy.matroid", "n: 2\nbases: 1\n")
     code, _, err = run(capsys, ["volume", path, "--polytope", "flag"])

@@ -1,5 +1,6 @@
 """The one integer elimination behind rank, determinant and hyperplane normals,
-and the double description against exhaustive facet enumeration."""
+the double description against exhaustive facet enumeration, and the point
+masks behind vertex flags and the pyramid volume recursion."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -14,8 +15,10 @@ from matvol.hull import (
     affine_rank,
     dd_facets,
     exhaustive_facets,
+    hull_vertex_flags,
     integer_det,
     matrix_rank,
+    normalized_volume,
 )
 
 
@@ -149,3 +152,63 @@ def _greedy_basis_full_scan(points):
 def test_dd_facets_match_exhaustive_on_crowded_grids(pts):
     assert dd_facets(pts) == exhaustive_facets(pts)
     assert _greedy_affine_basis(pts) == _greedy_basis_full_scan(pts)
+
+
+@st.composite
+def _grid_point_sets(draw, max_d=4):
+    """Full-dimensional sets of points of {0,1,2}^d, d = 1..max_d; the grid's
+    centre is often drawn too, so some points lie inside the hull."""
+    d = draw(st.integers(1, max_d))
+    point = st.tuples(*[st.integers(0, 2)] * d)
+    pts = draw(st.lists(point, min_size=d + 1, max_size=10, unique=True))
+    centre = (1,) * d
+    if draw(st.booleans()) and centre not in pts:
+        pts.append(centre)
+    assume(affine_rank(pts) == d)
+    return draw(st.permutations(pts))
+
+
+def _is_vertex_by_brute_force(pts, k):
+    """A point is a vertex iff it is off the affine hull of the others or
+    violates a facet of their hull."""
+    others = pts[:k] + pts[k + 1 :]
+    if affine_rank(others) < len(pts[k]):
+        return True
+    return any(sum(x * y for x, y in zip(a, pts[k])) > b for a, b in exhaustive_facets(others))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grid_point_sets())
+def test_hull_vertex_flags_match_brute_force(pts):
+    flags = hull_vertex_flags(pts, dd_facets(pts))
+    assert flags == [_is_vertex_by_brute_force(pts, k) for k in range(len(pts))]
+
+
+@st.composite
+def _unimodular_maps(draw, d):
+    """A d x d integer matrix of determinant +-1, as a product of row
+    additions, swaps and sign flips applied to the identity."""
+    m = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(draw(st.integers(0, 2 * d))):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        if i != j:
+            k = draw(st.integers(-2, 2))
+            m[i] = [x + k * y for x, y in zip(m[i], m[j])]
+            m[i], m[j] = m[j], m[i]
+        else:
+            m[i] = [-x for x in m[i]]
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_normalized_volume_lattice_invariant_and_homogeneous(data):
+    pts = data.draw(_grid_point_sets(max_d=5))
+    d = len(pts[0])
+    m = data.draw(_unimodular_maps(d))
+    shift = data.draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    k = data.draw(st.integers(2, 3))
+    vol = normalized_volume(pts)
+    moved = [tuple(sum(r * x for r, x in zip(row, p)) + s for row, s in zip(m, shift)) for p in pts]
+    assert normalized_volume(moved) == vol
+    assert normalized_volume([tuple(k * x for x in p) for p in pts]) == k**d * vol
