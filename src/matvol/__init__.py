@@ -45,6 +45,7 @@ from .errors import (
     ParseError,
     RankMismatch,
     UnequalCardinality,
+    WorkBudgetExceeded,
 )
 from .invariants import (
     TuttePolynomial,
@@ -83,6 +84,13 @@ from .oracle import (
     vertices_flag,
     vertices_indep,
     volume_exact,
+)
+from .pyramid import (
+    PYRAMID_WORK_BUDGET,
+    pyramid_normalized_volume,
+    pyramid_volume_base,
+    pyramid_volume_flag,
+    pyramid_volume_independent,
 )
 from .volume import (
     TermGroup,

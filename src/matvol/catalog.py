@@ -12,16 +12,15 @@ search never touches more permutations than the symmetry of the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
+from typing import NamedTuple
 
 from .matroid import Graph, Matroid, dual, graphic, uniform
 
 CanonGraph = tuple[int, tuple[tuple[int, int], ...]]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     matroid: Matroid
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import dataclass, field
 
 from .bitset import elements_of, format_subset, mask_of
 from .catalog import full_catalog
@@ -33,21 +32,19 @@ from .decomposition import (
 from .errors import MatvolError, ParseError, RankMismatch
 from .invariants import beta, signed_beta, tutte
 from .matroid import Graph, Matroid, coconnected_flats, from_bases, graphic, is_connected, uniform
+from .pyramid import pyramid_volume_base, pyramid_volume_flag, pyramid_volume_independent
 from .verify import verify_matroid
-from .volume import (
-    orbit_degree,
-    volume_base_polytope,
-    volume_independent_polytope,
-    volume_truncation_flag,
-)
+from .volume import orbit_degree
 
 
-@dataclass
 class Report:
-    command: str
-    digest: str | None
-    lines: list[str] = field(default_factory=list)
-    status: int = 0
+    """A command's output lines and exit status, rendered below a header."""
+
+    def __init__(self, command: str, digest: str | None):
+        self.command = command
+        self.digest = digest
+        self.lines: list[str] = []
+        self.status = 0
 
     def render(self) -> str:
         header = [f"# command: {self.command}"]
@@ -211,9 +208,9 @@ def cmd_volume(m: Matroid, digest: str, polytope: str, degree: bool) -> Report:
         vol, normalized = orbit_degree(m)
     else:
         compute = {
-            "base": volume_base_polytope,
-            "indep": volume_independent_polytope,
-            "flag": volume_truncation_flag,
+            "base": pyramid_volume_base,
+            "indep": pyramid_volume_independent,
+            "flag": pyramid_volume_flag,
         }[polytope]
         vol = compute(m)
     command = f"volume --polytope {polytope}" + (" --degree" if degree else "")

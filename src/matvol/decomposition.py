@@ -20,8 +20,7 @@ but has no geometric meaning, which is the caller's responsibility.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .bitset import elements_of, fold_subsets, subset_sort_key
 from .errors import FamilyMismatch
@@ -34,45 +33,54 @@ FAMILY_DELTA = "Delta"
 FAMILY_D = "D"
 
 
-@dataclass(frozen=True)
-class ZProfile:
-    """Dense subset-indexed right-hand sides; values[0] is always 0."""
-
+class _ZProfileFields(NamedTuple):
     n: int
     kind: str
     values: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.kind not in (KIND_GP, KIND_Q):
-            raise ValueError(f"unknown profile kind {self.kind!r}")
-        if len(self.values) != 1 << self.n:
-            raise ValueError(f"profile needs {1 << self.n} values, got {len(self.values)}")
-        if self.values[0] != 0:
+
+class ZProfile(_ZProfileFields):
+    """Dense subset-indexed right-hand sides; values[0] is always 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, kind: str, values: tuple[int, ...]):
+        if kind not in (KIND_GP, KIND_Q):
+            raise ValueError(f"unknown profile kind {kind!r}")
+        if len(values) != 1 << n:
+            raise ValueError(f"profile needs {1 << n} values, got {len(values)}")
+        if values[0] != 0:
             raise ValueError("profile value on the empty set must be 0")
+        return super().__new__(cls, n, kind, values)
 
 
-@dataclass(frozen=True, eq=False)
-class SignedDecomposition:
+class _DecompositionFields(NamedTuple):
+    n: int
+    family: str
+    coeffs: Mapping[int, int]
+
+
+class SignedDecomposition(_DecompositionFields):
     """Sparse signed summand multiplicities keyed by nonempty subset masks.
 
     Zero coefficients are never stored, so equality of decompositions is
     literal equality of the coefficient maps.  Singleton Delta summands are
     points; they carry translation information and are kept like any other
-    nonzero term.
+    nonzero term.  Decompositions are not hashable: the map is mutable.
     """
 
-    n: int
-    family: str
-    coeffs: Mapping[int, int]
+    __slots__ = ()
+    __hash__ = None  # type: ignore[assignment]
 
-    def __post_init__(self):
-        if self.family not in (FAMILY_DELTA, FAMILY_D):
-            raise ValueError(f"unknown summand family {self.family!r}")
-        for mask, c in self.coeffs.items():
-            if mask <= 0 or mask >= 1 << self.n:
-                raise ValueError(f"summand mask {mask} outside the nonempty subsets of [{self.n}]")
+    def __new__(cls, n: int, family: str, coeffs: Mapping[int, int]):
+        if family not in (FAMILY_DELTA, FAMILY_D):
+            raise ValueError(f"unknown summand family {family!r}")
+        for mask, c in coeffs.items():
+            if mask <= 0 or mask >= 1 << n:
+                raise ValueError(f"summand mask {mask} outside the nonempty subsets of [{n}]")
             if c == 0:
                 raise ValueError("zero coefficients must be dropped")
+        return super().__new__(cls, n, family, coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignedDecomposition):
@@ -82,6 +90,10 @@ class SignedDecomposition:
             and self.family == other.family
             and dict(self.coeffs) == dict(other.coeffs)
         )
+
+    def __ne__(self, other) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
     def sorted_items(self) -> list[tuple[int, int]]:
         return sorted(self.coeffs.items(), key=lambda kv: subset_sort_key(kv[0]))
@@ -218,19 +230,32 @@ def scale(d: SignedDecomposition, factor: int) -> SignedDecomposition:
     return make_decomposition(d.n, d.family, {k: factor * v for k, v in d.coeffs.items()})
 
 
-def support_function(d: SignedDecomposition, w: Sequence[int]) -> int:
-    """Value of the signed sum's support function at an integer direction.
+def support_evaluator(d: SignedDecomposition) -> Callable[[Sequence[int]], int]:
+    """The support function of the signed sum, as a function of the direction.
 
     Support functions are additive under Minkowski sums, so this is the
     coefficient-weighted sum of the summands' maxima; D summands floor at 0
     because they contain the origin.  Integer inputs make the result exact.
+    Each summand's elements are listed once, so evaluating many directions
+    costs one max per summand and direction.
     """
-    if len(w) != d.n:
-        raise ValueError(f"direction has length {len(w)}, expected {d.n}")
-    total = 0
-    for mask, c in d.coeffs.items():
-        best = max(w[e - 1] for e in elements_of(mask))
-        if d.family == FAMILY_D and best < 0:
-            best = 0
-        total += c * best
-    return total
+    terms = [(tuple(e - 1 for e in elements_of(mask)), c) for mask, c in d.coeffs.items()]
+    floor = d.family == FAMILY_D
+
+    def value(w: Sequence[int]) -> int:
+        if len(w) != d.n:
+            raise ValueError(f"direction has length {len(w)}, expected {d.n}")
+        total = 0
+        for elements, c in terms:
+            best = max(map(w.__getitem__, elements))
+            if floor and best < 0:
+                best = 0
+            total += c * best
+        return total
+
+    return value
+
+
+def support_function(d: SignedDecomposition, w: Sequence[int]) -> int:
+    """Value of the signed sum's support function at an integer direction."""
+    return support_evaluator(d)(w)

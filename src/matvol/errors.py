@@ -41,6 +41,10 @@ class DisconnectedMatroid(MatvolError):
     """The requested computation needs a full-dimensional polytope."""
 
 
+class WorkBudgetExceeded(MatvolError):
+    """A computation would do more work than its fixed budget allows."""
+
+
 class NonIntegerNormalizedVolume(MatvolError):
     """(n-1)! times the base polytope volume must be an integer; signals a bug."""
 

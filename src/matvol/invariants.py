@@ -12,10 +12,9 @@ is what the decomposition and volume engines iterate over.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
 from operator import neg, sub
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .bitset import fold_subsets, popcounts
 
@@ -23,8 +22,7 @@ if TYPE_CHECKING:  # matroid imports this module for coconnected_flats
     from .matroid import Matroid
 
 
-@dataclass(frozen=True)
-class TuttePolynomial:
+class TuttePolynomial(NamedTuple):
     """Sparse integer coefficient matrix b[i,j] of the Tutte polynomial."""
 
     coeffs: tuple[tuple[tuple[int, int], int], ...]

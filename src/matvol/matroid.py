@@ -26,10 +26,10 @@ reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable
+from operator import add
+from typing import Iterable, NamedTuple
 
 from .bitset import elements_of, mask_of, subset_sort_key
 from .errors import (
@@ -71,36 +71,69 @@ def _size_masks(n: int, r: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Graph:
+class _GraphFields(NamedTuple):
+    vertices: int
+    edges: tuple[tuple[int, int], ...]
+
+
+class Graph(_GraphFields):
     """Multigraph on 1-based vertices; loops and parallel edges allowed.
 
     Edges are numbered 1..m in list order and form the ground set of the
     associated graphic matroid.
     """
 
-    vertices: int
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for u, v in self.edges:
-            if not (1 <= u <= self.vertices and 1 <= v <= self.vertices):
-                raise ValueError(f"edge ({u},{v}) outside vertex range 1..{self.vertices}")
+    def __new__(cls, vertices: int, edges: tuple[tuple[int, int], ...]):
+        for u, v in edges:
+            if not (1 <= u <= vertices and 1 <= v <= vertices):
+                raise ValueError(f"edge ({u},{v}) outside vertex range 1..{vertices}")
+        return super().__new__(cls, vertices, edges)
 
 
-@dataclass(frozen=True)
 class Matroid:
     """A matroid on [n] with rank ``rank_value``, given by its basis masks.
 
     ``parent_labels`` maps this matroid's elements back to the labels of the
     matroid it was derived from by ``contract``/``delete``; it does not take
-    part in equality.
+    part in equality, hashing or the repr.  Instances are immutable: the
+    fields are set once, and only the ``rank_table`` cache is filled later.
     """
 
     n: int
     rank_value: int
     bases: frozenset[int]
-    parent_labels: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    parent_labels: tuple[int, ...] | None
+
+    def __init__(
+        self,
+        n: int,
+        rank_value: int,
+        bases: frozenset[int],
+        parent_labels: tuple[int, ...] | None = None,
+    ):
+        self.__dict__.update(n=n, rank_value=rank_value, bases=bases, parent_labels=parent_labels)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: matroids are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: matroids are immutable")
+
+    def _key(self) -> tuple[int, int, frozenset[int]]:
+        return (self.n, self.rank_value, self.bases)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"Matroid(n={self.n!r}, rank_value={self.rank_value!r}, bases={self.bases!r})"
 
     @property
     def full_mask(self) -> int:
@@ -256,6 +289,26 @@ def _from_table(n: int, rank: int, table: bytes, labels: tuple[int, ...] | None 
     return m
 
 
+def minor_table(table: bytes, ground: int, contracted: int) -> bytes:
+    """The table of X -> f(X + C) - f(C) over the subsets X of ``ground``.
+
+    ``table`` holds a set function f by mask and C = ``contracted`` is
+    disjoint from ``ground``; the elements of ``ground`` are relabeled
+    1, 2, ... in increasing order.  Values are bytes, so f must stay below
+    256 and be monotone (every f(X + C) >= f(C)).
+    """
+    index = [contracted]
+    while ground:
+        bit = ground & -ground
+        ground ^= bit
+        index += [x | bit for x in index]
+    out = bytes(map(table.__getitem__, index))
+    base = out[0]
+    if base:
+        out = out.translate(bytes(base) + _BYTE_VALUES[: 256 - base])  # v -> v - base
+    return out
+
+
 def _minor(parent: Matroid, removed: int, spanning: int) -> Matroid:
     """Shared relabeling machinery for contraction and deletion.
 
@@ -266,16 +319,9 @@ def _minor(parent: Matroid, removed: int, spanning: int) -> Matroid:
     """
     if removed == parent.full_mask:
         return Matroid(n=0, rank_value=0, bases=frozenset({0}), parent_labels=())
-    labels = elements_of(parent.full_mask & ~removed)
-    index = [spanning]
-    for label in labels:
-        bit = 1 << (label - 1)
-        index += [x | bit for x in index]
-    table = bytes(map(parent.rank_table.__getitem__, index))
-    base = table[0]
-    if base:
-        table = table.translate(bytes(base) + _BYTE_VALUES[: 256 - base])  # v -> v - base
-    return _from_table(len(labels), table[-1], table, labels)
+    kept = parent.full_mask & ~removed
+    table = minor_table(parent.rank_table, kept, spanning)
+    return _from_table(kept.bit_count(), table[-1], table, elements_of(kept))
 
 
 def contract(m: Matroid, a: int) -> Matroid:
@@ -327,11 +373,19 @@ def is_connected(m: Matroid) -> bool:
         return False
     if m.n == 1:
         return m.rank_value == 1
-    full = m.full_mask
-    r = m.rank_value
-    table = m.rank_table
-    # Odd masks < full enumerate each proper split once (side containing 1).
-    return all(table[a] + table[full ^ a] != r for a in range(1, full, 2))
+    return not splits(m.rank_table)
+
+
+def splits(table: bytes) -> bool:
+    """True iff some proper nonempty A has f(A) + f(G - A) = f(G), for the
+    set function f held by ``table`` over the subsets of a ground set G.
+
+    A runs over the masks without the top element, and table[-1 - a] is
+    f(G - A), so each split is tested once, as C-level byte reads.  A single
+    element never splits.
+    """
+    half = len(table) >> 1
+    return table[-1] in map(add, table[1:half], table[-2:-half - 1:-1])
 
 
 def components(m: Matroid) -> list[int]:

@@ -21,9 +21,9 @@ facet has one integer form, with no rational arithmetic on the way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DegenerateInput, DimensionMismatch
 from .hull import (
@@ -44,21 +44,28 @@ class LatticeFrame(Enum):
     STANDARD = "standard"
 
 
-@dataclass(frozen=True)
-class VertexSet:
-    """A finite integer point set together with its ambient dimension."""
-
+class _VertexSetFields(NamedTuple):
     n: int
     points: tuple[Vec, ...]
-    affine_dim: int = field(init=False, compare=False)
+    affine_dim: int
 
-    def __post_init__(self):
-        if len(set(self.points)) != len(self.points):
+
+class VertexSet(_VertexSetFields):
+    """A finite integer point set together with its ambient dimension.
+
+    Built from ``n`` and ``points``; ``affine_dim`` is computed from the
+    points, so it never makes two equal point sets compare unequal.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, points: tuple[Vec, ...]):
+        if len(set(points)) != len(points):
             raise ValueError("points must be distinct")
-        for p in self.points:
-            if len(p) != self.n:
-                raise ValueError(f"point {p} does not have length {self.n}")
-        object.__setattr__(self, "affine_dim", affine_rank(self.points))
+        for p in points:
+            if len(p) != n:
+                raise ValueError(f"point {p} does not have length {n}")
+        return super().__new__(cls, n, points, affine_rank(points))
 
 
 def _vertex_set(n: int, pts) -> VertexSet:

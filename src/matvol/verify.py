@@ -4,8 +4,8 @@ Each matroid gets one check unit per polytope family: the decomposition is
 recomputed through the profile transforms, its support function is compared
 against direct combinatorial optimization in random integer directions, the
 signed sum identity is checked as equality of actual vertex sets, and the
-formula volume is compared with the oracle volume where the oracle scales
-(ground sets up to 6, flags up to 5).
+formula volume is compared with the oracle volume and with the pyramid
+recursion where the oracle scales (ground sets up to 6, flags up to 5).
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 import itertools
 import random
 import zlib
-from dataclasses import dataclass
-from typing import Callable
+from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .decomposition import (
     SignedDecomposition,
@@ -22,7 +22,7 @@ from .decomposition import (
     decompose_base_polytope,
     decompose_independent_polytope,
     decompose_truncation_flag,
-    support_function,
+    support_evaluator,
     y_from_z_gp,
     y_from_z_q,
     z_from_matroid,
@@ -30,6 +30,7 @@ from .decomposition import (
 )
 from .matroid import Matroid, is_connected, truncate
 from .oracle import LatticeFrame, vertices_base, vertices_flag, vertices_indep, volume_exact
+from .pyramid import pyramid_volume_base, pyramid_volume_flag, pyramid_volume_independent
 from .volume import (
     volume_base_polytope,
     volume_independent_polytope,
@@ -41,8 +42,7 @@ ORACLE_FLAG_MAX_N = 5
 SUPPORT_DIRECTIONS = 100
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     matroid_name: str
     check: str
     detail: str
@@ -131,11 +131,20 @@ def _support_mismatches(
     """The first of SUPPORT_DIRECTIONS random directions, entries in -9..9, where
     the decomposition's support function differs from ``optimum``."""
     rng = random.Random(seed)
+    support = support_evaluator(d)
     for _ in range(SUPPORT_DIRECTIONS):
         w = rng.choices(range(-9, 10), k=d.n)
-        lhs, rhs = support_function(d, w), optimum(w)
+        lhs, rhs = support(w), optimum(w)
         if lhs != rhs:
             return [Mismatch(name, check, f"direction {w}: decomposition gives {lhs}, {source} give {rhs}")]
+    return []
+
+
+def _recursion_mismatches(recursion: Fraction, formula: Fraction, name: str, check: str) -> list[Mismatch]:
+    """The pyramid recursion against the tuple formula, which is itself
+    compared with the oracle, so all three routes must agree."""
+    if recursion != formula:
+        return [Mismatch(name, check, f"recursion {recursion} vs formula {formula}")]
     return []
 
 
@@ -154,6 +163,7 @@ def check_base_polytope(m: Matroid, name: str) -> list[Mismatch]:
         geometric = volume_exact(vertices_base(m), LatticeFrame.ROOT)
         if formula != geometric:
             out.append(Mismatch(name, "base-volume", f"formula {formula} vs oracle {geometric}"))
+        out += _recursion_mismatches(pyramid_volume_base(m), formula, name, "base-volume")
     return out
 
 
@@ -175,6 +185,7 @@ def check_independent_polytope(m: Matroid, name: str) -> list[Mismatch]:
             geometric = volume_exact(vertices_indep(m), LatticeFrame.STANDARD)
             if formula != geometric:
                 out.append(Mismatch(name, "indep-volume", f"formula {formula} vs oracle {geometric}"))
+        out += _recursion_mismatches(pyramid_volume_independent(m), formula, name, "indep-volume")
     return out
 
 
@@ -196,6 +207,7 @@ def check_flag_polytope(m: Matroid, name: str) -> list[Mismatch]:
         geometric = volume_exact(vertices_flag(m), LatticeFrame.ROOT)
         if formula != geometric:
             out.append(Mismatch(name, "flag-volume", f"formula {formula} vs oracle {geometric}"))
+        out += _recursion_mismatches(pyramid_volume_flag(m), formula, name, "flag-volume")
     return out
 
 
