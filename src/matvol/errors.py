@@ -46,7 +46,10 @@ class WorkBudgetExceeded(MatvolError):
 
 
 class NonIntegerNormalizedVolume(MatvolError):
-    """(n-1)! times the base polytope volume must be an integer; signals a bug."""
+    """(n-1)! times the base polytope volume must be an integer.
+
+    Nothing raises it since the degree comes from the integer pyramid
+    recursion; the class is kept so that code catching it still imports."""
 
 
 class DegenerateInput(MatvolError):

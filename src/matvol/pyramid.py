@@ -34,53 +34,55 @@ vCPU under CPython 3.11, depending on how the work splits between the two."""
 
 
 _LANE_CACHE_SIZE = 1 << 12
-"""Largest table size whose ``_lane_constants`` one recursion keeps: they
-take 4k bytes per entry, 200 KB at this size."""
+"""Largest table size whose lane masks one recursion keeps: they take 4k
+bytes per entry, 200 KB at this size.  Larger tables build each element's
+masks as ``_facets`` reaches it and drop them after."""
 
 
-def _lane_constants(size: int) -> tuple[int, int, int, list[tuple[int, ...]]]:
-    """Masks ``_facets`` needs for tables of ``size`` = 2^k entries.
-
-    Lane S of an int is its byte S.  ``ones`` holds 1 in every lane, and
-    each element e gets (2^e, 8 * 2^e, 1 in the lanes without e, 0xFF in
-    those lanes, 0x80 in the lanes the test on g/S skips, 0x80 in the lanes
-    without e).
-    """
-    k = size.bit_length() - 1
-    ones = int.from_bytes(b"\x01" * size, "little")
-    per_element = []
-    for e in range(k):
-        w = 1 << e
-        lack = int.from_bytes((b"\x01" * w + b"\x00" * w) * (size >> (e + 1)), "little")
-        skipped = (ones ^ lack) << 7 | 0x80 << 8 * ((size - 1) ^ w)  # lanes with e, and G - e
-        per_element.append((w, 8 * w, lack, 0xFF * lack, skipped, lack << 7))
-    return ones, 0x7F * ones, ones << 7, per_element
+def _element_lanes(size: int, ones: int, e: int) -> tuple[int, ...]:
+    """Masks of element e for tables of ``size`` = 2^k entries: (2^e,
+    8 * 2^e, 1 in the lanes without e, 0xFF in those lanes, 0x80 in the
+    lanes the test on g/S skips, 0x80 in the lanes without e)."""
+    w = 1 << e
+    lack = int.from_bytes((b"\x01" * w + b"\x00" * w) * (size >> (e + 1)), "little")
+    skipped = (ones ^ lack) << 7 | 0x80 << 8 * ((size - 1) ^ w)  # lanes with e, and G - e
+    return w, 8 * w, lack, 0xFF * lack, skipped, lack << 7
 
 
-def _facets(t: bytes, lanes: tuple[int, int, int, list[tuple[int, ...]]]) -> tuple[list[int], bytes]:
+def _facets(t: bytes, cache: dict[int, tuple]) -> tuple[list[int], bytes]:
     """The S worth a pyramid over the face x(S) = g(S), and every height.
 
     The heights h_S = g(S) - v(S) of the greedy vertex v along 1, 2, ..., k
     come from one subset fold of v's increments.  Every step works on all
     2^k subsets at once, as byte lanes of one int (lane S holds a value for
-    S; ``lanes`` are the masks from ``_lane_constants``).  S is dropped when
-    h_S = 0 (v lies on the face), or when one factor of the face
-    P(g|S) x P(g/S) has a one-element separator {e}, so that it is
-    lower-dimensional:
+    S; ``ones`` holds 1 in every lane).  S is dropped when h_S = 0 (v lies
+    on the face), or when one factor of the face P(g|S) x P(g/S) has a
+    one-element separator {e}, so that it is lower-dimensional:
 
     * g/S, for |G - S| >= 2: g(S + e) - g(S) = g(G) - g(G - e).  A loop of
       g/S is the case where S is not a flat of g.
     * g|S, for |S| >= 2: g(S) - g(S - e) = g(e).
 
     Both differences are >= 0 by submodularity, so "= 0" is a lane test.
+    ``cache`` keeps the masks of tables up to ``_LANE_CACHE_SIZE`` entries.
     """
     size = len(t)
     full = size - 1
-    ones, low7, high, per_element = lanes
+    lanes = cache.get(size)
+    if lanes is None:
+        ones = int.from_bytes(b"\x01" * size, "little")
+        per_element = (_element_lanes(size, ones, e) for e in range(size.bit_length() - 1))
+        lanes = ones, per_element
+        if size <= _LANE_CACHE_SIZE:
+            lanes = cache[size] = ones, list(per_element)
+    ones, per_element = lanes
+    low7, high = 0x7F * ones, ones << 7
     table = int.from_bytes(t, "little")
     vertex = 0
-    for w, shift, _, _, _, _ in per_element:  # lane S of ``vertex`` becomes v(S), S below 2w
-        vertex |= (vertex + (t[(w << 1) - 1] - t[w - 1]) * (ones >> 8 * (size - w))) << shift
+    w = 1
+    while w < size:  # lane S of ``vertex`` becomes v(S), S below 2w
+        vertex |= (vertex + (t[(w << 1) - 1] - t[w - 1]) * (ones >> 8 * (size - w))) << 8 * w
+        w <<= 1
     heights = table - vertex  # no lane borrows: v(S) <= g(S)
     keep = ((heights & low7) + low7 | heights) & high  # 0x80 where h_S > 0
     for w, shift, lack, lack_ff, skipped, lack_high in per_element:
@@ -91,40 +93,6 @@ def _facets(t: bytes, lanes: tuple[int, int, int, list[tuple[int, ...]]]) -> tup
         keep &= (((x & low7) + low7 | x) & lack_high | 0x80) << shift | lack_high
     keep = keep.to_bytes(size, "little")
     return list(compress(range(1, full), keep[1:full])), heights.to_bytes(size, "little")
-
-
-def _small_volume(t: bytes, ground: int, contracted: int) -> int:
-    """N of the minor g(X) = f(X + C) - f(C) on one to three elements,
-    written out without building its table; 0 when g splits.
-
-    One element is a point (N = 1) and two a segment of length
-    g(a) + g(b) - g(ab).  For three, a < b < c, the pyramid sum from the
-    greedy vertex has four terms, h_S times the segment left by the face:
-    S = b and S = c with the contraction g/S, S = ac and S = bc with the
-    restriction g|S (h vanishes on S = a and S = ab).
-    """
-    a = ground & -ground
-    rest = ground ^ a
-    if not rest:
-        return 1
-    base = t[contracted]
-    g_a = t[contracted | a] - base
-    b = rest & -rest
-    c = rest ^ b
-    g_b = t[contracted | b] - base
-    if not c:
-        return g_a + g_b - t[contracted | ground] + base
-    g_c = t[contracted | c] - base
-    g_ab = t[contracted | a | b] - base
-    g_ac = t[contracted | a | c] - base
-    g_bc = t[contracted | b | c] - base
-    g_abc = t[contracted | ground] - base
-    return (
-        (g_a + g_b - g_ab) * (g_ab + g_bc - g_abc - g_b)
-        + (g_c + g_ab - g_abc) * (g_ac + g_bc - g_abc - g_c)
-        + (g_ab + g_ac - g_a - g_abc) * (g_a + g_c - g_ac)
-        + (g_a + g_bc - g_abc) * (g_b + g_c - g_bc)
-    )
 
 
 def pyramid_normalized_volume(table: bytes) -> int:
@@ -145,10 +113,10 @@ def pyramid_normalized_volume(table: bytes) -> int:
     that agree after relabeling are computed once; only connected minors are
     memoized.  Raises ``WorkBudgetExceeded`` past ``PYRAMID_WORK_BUDGET``.
     """
-    if len(table) <= 8:
-        return _small_volume(table, len(table) - 1, 0)
     if splits(table):
         return 0
+    if len(table) <= 2:
+        return 1
     memo: dict[bytes, int] = {}
     lane_cache: dict[int, tuple] = {}
     work = 0
@@ -164,8 +132,12 @@ def pyramid_normalized_volume(table: bytes) -> int:
 
     def factor(t: bytes, ground: int, contracted: int) -> int:
         """N of the minor X -> g(X + C) - g(C) on ``ground``, C = ``contracted``."""
-        if ground.bit_count() <= 3:
-            return _small_volume(t, ground, contracted)
+        rest = ground & (ground - 1)
+        if not rest:
+            return 1  # a point
+        if not rest & (rest - 1):  # a segment of length g(a) + g(b) - g(ab)
+            a = ground ^ rest
+            return t[contracted | a] + t[contracted | rest] - t[contracted | ground] - t[contracted]
         minor = minor_table(t, ground, contracted)
         charge(len(minor))
         found = memo.get(minor)
@@ -179,12 +151,7 @@ def pyramid_normalized_volume(table: bytes) -> int:
         k = len(t).bit_length() - 1
         charge(k << k)
         full = len(t) - 1
-        lanes = lane_cache.get(len(t))
-        if lanes is None:
-            lanes = _lane_constants(len(t))
-            if len(t) <= _LANE_CACHE_SIZE:
-                lane_cache[len(t)] = lanes
-        candidates, heights = _facets(t, lanes)
+        candidates, heights = _facets(t, lane_cache)
         binomials = [comb(k - 2, j) for j in range(k - 1)]
         total = 0
         for s in candidates:
@@ -202,12 +169,13 @@ def pyramid_volume_base(m: Matroid) -> Fraction:
     Same values as ``volume_base_polytope``: a disconnected matroid gives
     the product over its components.
     """
-    if splits(m.rank_table):
-        result = Fraction(1)
-        for comp in components(m):
-            result *= pyramid_volume_base(restriction(m, comp))
-        return result
-    return Fraction(pyramid_normalized_volume(m.rank_table), factorial(m.n - 1))
+    normalized = pyramid_normalized_volume(m.rank_table)
+    if normalized:
+        return Fraction(normalized, factorial(m.n - 1))
+    result = Fraction(1)  # 0 means M splits
+    for comp in components(m):
+        result *= pyramid_volume_base(restriction(m, comp))
+    return result
 
 
 def pyramid_volume_independent(m: Matroid) -> Fraction:

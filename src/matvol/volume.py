@@ -389,9 +389,9 @@ def volume_signed_sum(d: SignedDecomposition) -> Fraction:
 
 def orbit_degree(m: Matroid) -> tuple[Fraction, int]:
     """Base polytope volume together with its integer (n-1)! multiple."""
-    if not is_connected(m):
+    normalized = pyramid_normalized_volume(m.rank_table)  # 0 when M splits
+    if not normalized or not m.rank_value:  # a lone loop is a point, but not connected
         raise DisconnectedMatroid("degree is defined here for connected matroids only")
-    normalized = pyramid_normalized_volume(m.rank_table)
     return Fraction(normalized, factorial(m.n - 1)), normalized
 
 

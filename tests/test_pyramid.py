@@ -135,6 +135,57 @@ def test_recursion_expands_only_connected_minors(catalog6, monkeypatch):
         assert all(t[a] + t[full ^ a] != t[full] for a in range(1, full)), t
 
 
+def facets_by_definition(t: bytes) -> tuple[list[int], bytes]:
+    """``_facets`` one subset at a time: the heights of the greedy vertex
+    along 1, ..., k, and the S with h_S > 0 where neither g|S (|S| >= 2)
+    nor g/S (|G - S| >= 2) has a one-element separator."""
+    k = len(t).bit_length() - 1
+    full = len(t) - 1
+    v = [t[(2 << e) - 1] - t[(1 << e) - 1] for e in range(k)]
+    heights = [t[s] - sum(v[e] for e in range(k) if s >> e & 1) for s in range(full + 1)]
+    kept = []
+    for s in range(1, full):
+        rest = full ^ s
+        if heights[s] == 0:
+            continue
+        if rest & (rest - 1) and any(
+            rest >> e & 1 and t[s | 1 << e] - t[s] == t[full] - t[full ^ 1 << e] for e in range(k)
+        ):
+            continue
+        if s & (s - 1) and any(s >> e & 1 and t[s] - t[s ^ 1 << e] == t[1 << e] for e in range(k)):
+            continue
+        kept.append(s)
+    return kept, bytes(heights)
+
+
+def test_facet_candidates_match_their_definition():
+    """The bit-parallel candidate filter, on small tables and on ones past
+    ``_LANE_CACHE_SIZE`` (whose lane masks are built one element at a
+    time), including the independent-set lift of U(6,12) on 13 elements."""
+    from matvol.pyramid import _LANE_CACHE_SIZE, _facets
+
+    rng = random.Random(5)
+    tables = []
+    for k in (2, 3, 4, 5, 6):
+        for _ in range(10):
+            sets = [rng.getrandbits(5) for _ in range(k)]
+            tables.append(bytes(
+                sum(1 for j in range(5) if any(a >> i & 1 and s >> j & 1 for i, s in enumerate(sets)))
+                for a in range(1 << k)
+            ))
+    for m in (uniform(5, 10), uniform(6, 12), uniform(4, 13)):
+        tables.append(m.rank_table)
+    lifted = bytearray(2 << 12)
+    lifted[0::2] = uniform(6, 12).rank_table
+    lifted[1::2] = bytes((6,)) * (1 << 12)
+    tables.append(bytes(lifted))
+    assert max(map(len, tables)) > _LANE_CACHE_SIZE
+    cache: dict = {}
+    for t in tables:
+        candidates, heights = _facets(t, cache)
+        assert (candidates, heights) == facets_by_definition(t), list(t)
+
+
 @pytest.mark.parametrize("n", [8, 9, 10, 11, 12])
 def test_uniform_closed_forms(n):
     """Hypersimplex slices: A(n-1, k-1)/(n-1)! for the base polytope and
