@@ -135,6 +135,44 @@ def test_recursion_expands_only_connected_minors(catalog6, monkeypatch):
         assert all(t[a] + t[full ^ a] != t[full] for a in range(1, full)), t
 
 
+def test_three_element_closed_form_matches_oracle(catalog5):
+    """``_small_volume`` on every monotone submodular g on three elements
+    with values up to 3, and on three-element minors g(X + C) - g(C) read
+    in place from the rank tables of catalog(5)."""
+    from itertools import product
+
+    from matvol.matroid import minor_table
+    from matvol.pyramid import _small_volume
+
+    def oracle(t: bytes) -> Fraction:
+        vertices = greedy_vertex_set(t)
+        if vertices.affine_dim < 2:
+            return Fraction(0)
+        return volume_exact(vertices, LatticeFrame.ROOT)
+
+    count = 0
+    for values in product(range(4), repeat=7):
+        t = bytes((0, *values))
+        monotone = all(t[a] <= t[a | 1 << e] for a in range(8) for e in range(3))
+        submodular = all(t[a] + t[b] >= t[a | b] + t[a & b] for a in range(8) for b in range(8))
+        if monotone and submodular:
+            count += 1
+            assert Fraction(_small_volume(t, 7, 0), 2) == oracle(t), list(t)
+    assert count > 100
+    rng = random.Random(3)
+    for entry in catalog5:
+        t = entry.matroid.rank_table
+        n = entry.matroid.n
+        if n < 3:
+            continue
+        for _ in range(3):
+            ground = sum(1 << e for e in rng.sample(range(n), 3))
+            rest = [e for e in range(n) if not ground >> e & 1]
+            contracted = sum(1 << e for e in rest if rng.random() < 0.5)
+            minor = minor_table(t, ground, contracted)
+            assert Fraction(_small_volume(t, ground, contracted), 2) == oracle(minor), (entry.name, ground)
+
+
 def facets_by_definition(t: bytes) -> tuple[list[int], bytes]:
     """``_facets`` one subset at a time: the heights of the greedy vertex
     along 1, ..., k, and the S with h_S > 0 where neither g|S (|S| >= 2)
