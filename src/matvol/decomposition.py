@@ -12,7 +12,8 @@ Two polytope families appear as summands:
 A profile value z_I is the tight right-hand side for subset I; a
 decomposition coefficient y_I is the signed multiplicity of the summand on
 I.  The two are related by zeta/Moebius transforms over the subset lattice,
-n*2^n folds of ``bitset.fold_subsets``.  Profiles are accepted as raw data:
+each one call of ``bitset.fold_subsets``: n big-int passes over 2^n packed
+lanes.  Profiles are accepted as raw data:
 for non-tight right-hand sides the transform output is still well defined
 but has no geometric meaning, which is the caller's responsibility.
 """
@@ -20,6 +21,7 @@ but has no geometric meaning, which is the caller's responsibility.
 from __future__ import annotations
 
 import operator
+from itertools import compress
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .bitset import elements_of, fold_subsets, subset_sort_key
@@ -181,7 +183,7 @@ def z_from_y_q(d: SignedDecomposition) -> ZProfile:
 def _complement_keyed(m: Matroid, table: Sequence[int], family: str) -> SignedDecomposition:
     """The nonzero entries of a contraction table, table[A] keyed by E - A."""
     full = m.full_mask
-    coeffs = {full ^ a: c for a, c in enumerate(table) if c and a != full}
+    coeffs = {full ^ a: table[a] for a in compress(range(full), table)}
     return SignedDecomposition(m.n, family, coeffs)
 
 

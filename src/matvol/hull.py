@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import factorial, gcd
-from operator import and_
+from operator import and_, mul
 from typing import Iterable, Iterator, Sequence
 
 Vec = tuple[int, ...]
@@ -45,7 +45,7 @@ MaskedFacet = tuple[Vec, int, int]  # (a, b, bitmask of the points on a.x = b)
 # ---------------------------------------------------------------------------
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _primitive(v: Sequence[int]) -> Vec:

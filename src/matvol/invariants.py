@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from math import comb
-from operator import neg, sub
+from operator import sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from .bitset import fold_subsets, popcounts
@@ -99,10 +99,13 @@ def signed_beta_contractions(m: Matroid) -> list[int]:
 
     The contraction's alternating rank sum telescopes to the alternating
     superset sum of this matroid's rank table (a downward ``sub`` fold), and
-    the contraction rank parity cancels against it, leaving a single sign
-    for every entry.
+    the contraction rank parity cancels against it, leaving the sign -1 for
+    every entry.  The fold of the corank r - r(B) carries that sign: the
+    constant r sums to 0 over the supersets of every A but E.
     """
-    out = list(map(neg, fold_subsets(m.rank_table, m.n, sub, upward=False)))
+    r = m.rank_value
+    corank = m.rank_table.translate(bytes(range(r, -1, -1)) + bytes(255 - r))
+    out = fold_subsets(corank, m.n, sub, upward=False)
     out[m.full_mask] = 0  # the empty contraction has no elements, beta 0
     return out
 
@@ -110,5 +113,5 @@ def signed_beta_contractions(m: Matroid) -> list[int]:
 def signed_gamma_contractions(m: Matroid) -> list[int]:
     """Signed gamma invariant of M/A for every subset A, indexed by mask."""
     r = m.rank_value
-    by_rank = [comb(r - ra + 1, 2) for ra in range(r + 1)]
-    return fold_subsets(map(by_rank.__getitem__, m.rank_table), m.n, sub, upward=False)
+    by_rank = bytes(comb(r - ra + 1, 2) for ra in range(r + 1))  # at most C(21, 2) = 210
+    return fold_subsets(m.rank_table.translate(by_rank + bytes(255 - r)), m.n, sub, upward=False)

@@ -247,37 +247,49 @@ def uniform(k: int, n: int) -> Matroid:
 def graphic(g: Graph) -> Matroid:
     """Graphic matroid of a multigraph: bases are its maximal spanning forests.
 
-    The union-find runs on the vertices the edges touch, renumbered densely,
-    so its size does not grow with the vertex labels.
+    One depth-first search over the edges in order lists them.  An edge
+    that joins two trees of the forest so far is taken in one branch (the
+    union is undone on backtrack) and skipped in the other; an edge inside
+    one tree is skipped; a branch ends when too few edges remain to reach
+    the rank.  The union-find
+    runs on the vertices the edges touch, renumbered densely, so its size
+    does not grow with the vertex labels.
     """
     m = len(g.edges)
     _check_ground_set(m)
     index = {v: i for i, v in enumerate(sorted({v for edge in g.edges for v in edge}))}
     edges = [(index[u], index[v]) for u, v in g.edges]
+    parent = list(range(len(index)))
 
-    def forest_size(edge_indices: Iterable[int]) -> int:
-        parent = list(range(len(index)))
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    rank = 0
+    for u, v in edges:  # a greedy forest has the rank's size
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            rank += 1
+    parent[:] = range(len(index))
+    bases: list[int] = []
 
-        count = 0
-        for i in edge_indices:
-            u, v = edges[i]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                count += 1
-        return count
+    def extend(i: int, taken: int, mask: int) -> None:
+        if taken == rank:
+            bases.append(mask)
+            return
+        if m - i < rank - taken:
+            return
+        u, v = edges[i]
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            extend(i + 1, taken + 1, mask | 1 << i)
+            parent[ru] = ru
+        extend(i + 1, taken, mask)
 
-    rank = forest_size(range(m))
-    bases = set()
-    for combo in combinations(range(m), rank):
-        if forest_size(combo) == rank:
-            bases.add(mask_of(i + 1 for i in combo))
+    extend(0, 0, 0)
     return Matroid(n=m, rank_value=rank, bases=frozenset(bases))
 
 

@@ -125,15 +125,21 @@ def _signed_sum_vertex_sets(m: Matroid, d: SignedDecomposition):
     return left, right
 
 
+def _support_directions(seed: int, n: int) -> list[list[int]]:
+    """SUPPORT_DIRECTIONS random directions in Z^n, entries in -9..9, drawn
+    in one call: row i holds the draws i*n .. i*n + n - 1 of ``seed``'s
+    generator, as a call per row would."""
+    draws = random.Random(seed).choices(range(-9, 10), k=SUPPORT_DIRECTIONS * n)
+    return [draws[i * n : i * n + n] for i in range(SUPPORT_DIRECTIONS)]
+
+
 def _support_mismatches(
     d: SignedDecomposition, optimum: Callable[[list[int]], int], seed: int, name: str, check: str, source: str
 ) -> list[Mismatch]:
     """The first of SUPPORT_DIRECTIONS random directions, entries in -9..9, where
     the decomposition's support function differs from ``optimum``."""
-    rng = random.Random(seed)
     support = support_evaluator(d)
-    for _ in range(SUPPORT_DIRECTIONS):
-        w = rng.choices(range(-9, 10), k=d.n)
+    for w in _support_directions(seed, d.n):
         lhs, rhs = support(w), optimum(w)
         if lhs != rhs:
             return [Mismatch(name, check, f"direction {w}: decomposition gives {lhs}, {source} give {rhs}")]

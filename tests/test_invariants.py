@@ -1,5 +1,6 @@
 from math import comb
 
+from matvol.bitset import popcounts
 from matvol.invariants import (
     beta,
     gamma,
@@ -132,3 +133,10 @@ def test_contraction_tables_match_definitions(catalog5):
 def test_gamma_contraction_of_full_set_vanishes():
     for m in (uniform(2, 4), PYRAMID):
         assert signed_gamma_contractions(m)[m.full_mask] == 0
+
+
+def test_signed_beta_contractions_uniform_at_the_ground_set_cap():
+    # signed beta(M/A) = (-1)^(k-|A|+1) C(n-|A|-2, k-|A|-1) for |A| < k, else 0
+    n, k = 20, 10
+    by_size = [(-1) ** (k - s + 1) * comb(n - s - 2, k - s - 1) if s < k else 0 for s in range(n + 1)]
+    assert signed_beta_contractions(uniform(k, n)) == [by_size[c] for c in popcounts(n)]

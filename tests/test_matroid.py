@@ -345,3 +345,53 @@ def test_from_bases_validates_uniform_8_16():
     assert from_bases(16, relaxed).bases == relaxed
     with pytest.raises(ExchangeAxiomViolation):
         from_bases(16, relaxed - {mask_of([*range(1, 8), 9])})
+
+
+def _forests_by_brute_force(vertices, edges):
+    """Maximal spanning forests as every C(m, r) edge set, each checked by a
+    fresh union-find: r is the size of one greedy forest."""
+
+    def forest_size(chosen):
+        parent = list(range(vertices + 1))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        count = 0
+        for i in chosen:
+            ru, rv = find(edges[i][0]), find(edges[i][1])
+            if ru != rv:
+                parent[ru] = rv
+                count += 1
+        return count
+
+    rank = forest_size(range(len(edges)))
+    found = {mask_of(i + 1 for i in c) for c in combinations(range(len(edges)), rank) if forest_size(c) == rank}
+    return rank, frozenset(found)
+
+
+@st.composite
+def _multigraphs(draw):
+    """Up to 11 edges on up to 6 vertices: loops, parallel edges and several
+    components all occur."""
+    vertices = draw(st.integers(1, 6))
+    end = st.integers(1, vertices)
+    edges = draw(st.lists(st.tuples(end, end), min_size=1, max_size=11))
+    return vertices, tuple(edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_multigraphs())
+def test_graphic_bases_match_brute_force(case):
+    vertices, edges = case
+    m = graphic(Graph(vertices, edges))
+    assert (m.rank_value, m.bases) == _forests_by_brute_force(vertices, edges)
+
+
+def test_graphic_small_shapes():
+    assert graphic(Graph(2, ((1, 2),))) == uniform(1, 1)
+    assert graphic(Graph(1, ((1, 1),))) == uniform(0, 1)
+    two_triangles = ((1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4))
+    assert graphic(Graph(6, two_triangles)) == direct_sum(uniform(2, 3), uniform(2, 3))

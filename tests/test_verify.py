@@ -38,3 +38,15 @@ def test_flag_check_covers_disconnected_loopless():
     checks, mismatches = verify_matroid(m, "chain")
     assert checks == 3
     assert mismatches == []
+
+
+def test_support_directions_are_the_per_direction_draws():
+    import random
+
+    from matvol.verify import SUPPORT_DIRECTIONS, _support_directions
+
+    for seed in (0, 1, 12345, 2**40 + 7):
+        for n in range(1, 9):
+            rng = random.Random(seed)
+            one_by_one = [rng.choices(range(-9, 10), k=n) for _ in range(SUPPORT_DIRECTIONS)]
+            assert _support_directions(seed, n) == one_by_one
