@@ -74,12 +74,15 @@ def test_fold_at_lane_width_edges(op, upward, magnitude):
 
 
 def test_fold_of_bytes_equals_fold_of_list():
+    # bytes up to 0x7FFF >> n fit 16-bit lanes, one more does not
     rng = random.Random(8)
     for n in range(14):
-        table = bytes(rng.randrange(256) for _ in range(1 << n))
-        for op in (add, sub):
-            for upward in (True, False):
-                assert fold_subsets(table, n, op, upward) == fold_subsets(list(table), n, op, upward)
+        fits16 = 0x7FFF >> n
+        for top in sorted({1, min(fits16, 255), min(fits16 + 1, 255), 255}):
+            for table in (bytes([top]) * (1 << n), bytes(rng.randint(0, top) for _ in range(1 << n))):
+                for op in (add, sub):
+                    for upward in (True, False):
+                        assert fold_subsets(table, n, op, upward) == fold_subsets(list(table), n, op, upward)
 
 
 @settings(max_examples=100, deadline=None)
