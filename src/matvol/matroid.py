@@ -251,9 +251,8 @@ def graphic(g: Graph) -> Matroid:
     that joins two trees of the forest so far is taken in one branch (the
     union is undone on backtrack) and skipped in the other; an edge inside
     one tree is skipped; a branch ends when too few edges remain to reach
-    the rank.  The union-find
-    runs on the vertices the edges touch, renumbered densely, so its size
-    does not grow with the vertex labels.
+    the rank.  The union-find runs on the vertices the edges touch,
+    renumbered densely, so its size does not grow with the vertex labels.
     """
     m = len(g.edges)
     _check_ground_set(m)
