@@ -14,6 +14,9 @@ Reports are line oriented and byte-stable: subsets print sorted by
 cardinality then numeric value, and the command echo omits anything (thread
 counts, file paths) that does not affect the result.  Exit codes: 0 on
 success, 1 on a verification mismatch, 2 on parse or validation errors.
+
+Each command imports the engine it runs when it runs, so a process loads
+only the parser, the matroid layer and the one engine its command needs.
 """
 
 from __future__ import annotations
@@ -22,19 +25,10 @@ import argparse
 import hashlib
 import sys
 
-from .bitset import elements_of, format_subset, mask_of
+from .bitset import elements_of, mask_of, subset_formatter
 from .catalog import full_catalog
-from .decomposition import (
-    decompose_base_polytope,
-    decompose_independent_polytope,
-    decompose_truncation_flag,
-)
 from .errors import MatvolError, ParseError, RankMismatch
-from .invariants import beta, signed_beta, tutte
 from .matroid import Graph, Matroid, coconnected_flats, from_bases, graphic, is_connected, uniform
-from .pyramid import pyramid_volume_base, pyramid_volume_flag, pyramid_volume_independent
-from .verify import verify_matroid
-from .volume import orbit_degree
 
 
 class Report:
@@ -190,6 +184,12 @@ def _load(path: str) -> tuple[Matroid, str]:
 
 
 def cmd_decompose(m: Matroid, digest: str, polytope: str) -> Report:
+    from .decomposition import (
+        decompose_base_polytope,
+        decompose_independent_polytope,
+        decompose_truncation_flag,
+    )
+
     maker = {
         "base": decompose_base_polytope,
         "indep": decompose_independent_polytope,
@@ -198,12 +198,15 @@ def cmd_decompose(m: Matroid, digest: str, polytope: str) -> Report:
     d = maker(m)
     report = Report(f"decompose --polytope {polytope}", digest)
     report.lines.append(f"family: {d.family}")
+    render = subset_formatter(m.n)
     for mask, c in d.sorted_items():
-        report.lines.append(f"y[{format_subset(mask)}] = {c}")
+        report.lines.append(f"y[{render(mask)}] = {c}")
     return report
 
 
 def cmd_volume(m: Matroid, digest: str, polytope: str, degree: bool) -> Report:
+    from .pyramid import orbit_degree, pyramid_volume_base, pyramid_volume_flag, pyramid_volume_independent
+
     if degree:  # base polytope only; orbit_degree computes its volume once
         vol, normalized = orbit_degree(m)
     else:
@@ -222,6 +225,8 @@ def cmd_volume(m: Matroid, digest: str, polytope: str, degree: bool) -> Report:
 
 
 def cmd_invariants(m: Matroid, digest: str) -> Report:
+    from .invariants import beta, signed_beta, tutte
+
     report = Report("invariants", digest)
     t = tutte(m)
     report.lines.append(f"n = {m.n}")
@@ -235,12 +240,14 @@ def cmd_invariants(m: Matroid, digest: str) -> Report:
     g = t.gamma()
     report.lines.append(f"gamma = {g}")
     report.lines.append(f"signed_gamma = {g if m.rank_value % 2 == 0 else -g}")
-    flats = " ".join(format_subset(a) for a in coconnected_flats(m))
+    flats = " ".join(map(subset_formatter(m.n), coconnected_flats(m)))
     report.lines.append(f"coconnected_flats = {flats}")
     return report
 
 
 def cmd_verify(args) -> Report:
+    from .verify import verify_matroid
+
     if args.catalog:
         command = f"verify --catalog --max-n {args.max_n}"
         targets = [(e.name, e.matroid) for e in full_catalog(args.max_n)]

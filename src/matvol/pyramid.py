@@ -241,3 +241,11 @@ def pyramid_volume_flag(m: Matroid) -> Fraction:
     by_rank = bytes(sum(min(v, i) for i in range(1, r + 1)) for v in range(r + 1))
     flag = m.rank_table.translate(by_rank + bytes(256 - len(by_rank)))
     return Fraction(pyramid_normalized_volume(flag), factorial(m.n - 1))
+
+
+def orbit_degree(m: Matroid) -> tuple[Fraction, int]:
+    """Base polytope volume together with its integer (n-1)! multiple."""
+    normalized = pyramid_normalized_volume(m.rank_table)  # 0 when M splits
+    if not normalized or not m.rank_value:  # a lone loop is a point, but not connected
+        raise DisconnectedMatroid("degree is defined here for connected matroids only")
+    return Fraction(normalized, factorial(m.n - 1)), normalized

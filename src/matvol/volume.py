@@ -34,7 +34,7 @@ from .decomposition import FAMILY_DELTA, SignedDecomposition
 from .errors import DimensionMismatch, DisconnectedMatroid
 from .invariants import signed_beta_contractions, signed_gamma_contractions
 from .matroid import Matroid, components, dual, is_connected, restriction
-from .pyramid import pyramid_normalized_volume
+from .pyramid import orbit_degree  # noqa: F401 -- re-exported for callers that import it from here
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +385,6 @@ def volume_signed_sum(d: SignedDecomposition) -> Fraction:
         length, strict = d.n, False
     total = signed_tuple_sum(support, length, d.n, strict=strict)
     return Fraction(total, factorial(length))
-
-
-def orbit_degree(m: Matroid) -> tuple[Fraction, int]:
-    """Base polytope volume together with its integer (n-1)! multiple."""
-    normalized = pyramid_normalized_volume(m.rank_table)  # 0 when M splits
-    if not normalized or not m.rank_value:  # a lone loop is a point, but not connected
-        raise DisconnectedMatroid("degree is defined here for connected matroids only")
-    return Fraction(normalized, factorial(m.n - 1)), normalized
 
 
 def independent_volume_census(m: Matroid) -> dict[tuple[int, ...], TermGroup]:

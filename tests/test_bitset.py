@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matvol.bitset import fold_subsets
+from matvol.bitset import fold_subsets, format_subset, subset_formatter
 from matvol.decomposition import mobius_subsets, zeta_subsets
 
 
@@ -101,3 +101,12 @@ def test_fold_rejects_other_ops_and_lengths():
         fold_subsets([1, 2], 1, lambda a, b: a + b)
     with pytest.raises(ValueError):
         fold_subsets([1, 2, 3], 1, add)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_subset_formatter_matches_format_subset(data):
+    n = data.draw(st.integers(0, 20))
+    render = subset_formatter(n)
+    for mask in data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=50)) + [0, (1 << n) - 1]:
+        assert render(mask) == format_subset(mask)

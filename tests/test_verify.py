@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
+import matvol
 from matvol.decomposition import decompose_base_polytope
 from matvol.matroid import direct_sum, from_bases, uniform
 from matvol.oracle import VertexSet, hull_facets
@@ -50,3 +55,19 @@ def test_support_directions_are_the_per_direction_draws():
             rng = random.Random(seed)
             one_by_one = [rng.choices(range(-9, 10), k=n) for _ in range(SUPPORT_DIRECTIONS)]
             assert _support_directions(seed, n) == one_by_one
+
+
+def test_verify_refuses_ground_sets_past_its_reach(tmp_path):
+    """U(10, 20) is past VERIFY_MAX_N: the CLI exits 2 before any check runs."""
+    path = tmp_path / "u1020.matroid"
+    path.write_text("n: 20\nuniform: 10 20\n")
+    src = os.path.dirname(os.path.dirname(matvol.__file__))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "matvol.cli", "verify", str(path)],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: verify walks all n! coordinate orderings")
