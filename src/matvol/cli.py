@@ -27,8 +27,10 @@ import sys
 
 from .bitset import elements_of, mask_of, subset_formatter
 from .catalog import full_catalog
-from .errors import MatvolError, ParseError, RankMismatch
-from .matroid import Graph, Matroid, coconnected_flats, from_bases, graphic, is_connected, uniform
+from .errors import GroundSetTooLarge, MatvolError, ParseError, RankMismatch, WorkBudgetExceeded
+from .matroid import (
+    MAX_GROUND_SET, Graph, Matroid, coconnected_flats, from_bases, graphic, is_connected, uniform
+)
 
 
 class Report:
@@ -69,6 +71,8 @@ def parse_matroid_file(text: str) -> Matroid:
             if n is not None:
                 raise ParseError("duplicate 'n' line", lineno)
             n = _parse_int(rest, "ground set size", lineno)
+            if n > MAX_GROUND_SET:
+                raise GroundSetTooLarge(f"n={n} exceeds the hard limit of {MAX_GROUND_SET} elements")
         elif key in ("bases", "uniform", "graph"):
             if n is None:
                 raise ParseError("'n: <int>' must come first", lineno)
@@ -246,9 +250,14 @@ def cmd_invariants(m: Matroid, digest: str) -> Report:
 
 
 def cmd_verify(args) -> Report:
-    from .verify import verify_matroid
+    from .verify import VERIFY_MAX_N, verify_matroid
 
     if args.catalog:
+        if args.max_n > VERIFY_MAX_N:
+            raise WorkBudgetExceeded(
+                f"verify takes ground sets of at most {VERIFY_MAX_N} elements, "
+                f"and the catalog up to --max-n {args.max_n} holds larger ones"
+            )
         command = f"verify --catalog --max-n {args.max_n}"
         targets = [(e.name, e.matroid) for e in full_catalog(args.max_n)]
         digest = None
@@ -337,10 +346,7 @@ def main(argv: list[str] | None = None) -> int:
             report = cmd_invariants(m, digest)
         else:
             report = cmd_verify(args)
-    except MatvolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (MatvolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(report.render())

@@ -64,10 +64,11 @@ def greedy_max_basis(m: Matroid, order: list[int]) -> int:
     """Max-weight basis for weights decreasing along ``order`` (0-based).
 
     The matroid greedy algorithm; for injective weights the optimum basis is
-    unique, so the returned mask is the argmax.
+    unique, so the returned mask is the argmax.  Elements outside ``order``
+    are never taken, so a partial order gives a max-weight independent set
+    of its elements.
     """
     current = 0
-    size = 0
     rank = m.rank
     r_cur = 0
     for e in order:
@@ -75,8 +76,7 @@ def greedy_max_basis(m: Matroid, order: list[int]) -> int:
         if rank(candidate) > r_cur:
             current = candidate
             r_cur += 1
-            size += 1
-            if size == m.rank_value:
+            if r_cur == m.rank_value:
                 break
     return current
 
@@ -89,17 +89,9 @@ def max_basis_weight(m: Matroid, w: list[int]) -> int:
 
 def max_independent_weight(m: Matroid, w: list[int]) -> int:
     """Greedy optimum over independent sets with free disposal."""
-    order = sorted(range(1, m.n + 1), key=lambda e: -w[e - 1])
-    current = 0
-    total = 0
-    for e in order:
-        if w[e - 1] <= 0:
-            break
-        candidate = current | (1 << (e - 1))
-        if m.rank(candidate) > m.rank(current):
-            current = candidate
-            total += w[e - 1]
-    return total
+    order = sorted((e for e in range(m.n) if w[e] > 0), key=w.__getitem__, reverse=True)
+    chosen = greedy_max_basis(m, order)
+    return sum(w[e] for e in order if chosen >> e & 1)
 
 
 def _signed_sum_vertex_sets(m: Matroid, d: SignedDecomposition):

@@ -1,10 +1,10 @@
 """Exact polytope volumes via signed mixed-volume expansions over subset tuples.
 
 All volumes are lattice-normalized so the standard simplex on n vertices has
-volume 1/(n-1)!.  These are the paper's formulas: the engines sum, over
-tuples of contraction sets drawn from an invariant's support, the product of
-the invariant values; a tuple contributes exactly when its sets satisfy
-intersection bounds
+volume 1/(n-1)!.  These are the paper's formulas: ``volume_signed_sum``
+takes a signed simplex decomposition and sums, over tuples of contraction
+sets (the complements of its summands), the product of their coefficients;
+a tuple contributes exactly when its sets satisfy intersection bounds
 
     strict:  |J_{i_1} cap ... cap J_{i_k}| <  n - k   (hyperplane families)
     weak:    |J_{i_1} cap ... cap J_{i_k}| <= n - k   (orthant families)
@@ -13,6 +13,10 @@ for every choice of distinct indices.  The strict bound is the dragon
 marriage condition; the weak one says the complements admit a system of
 distinct representatives.  Enumeration runs over multisets with multinomial
 counting and prunes a branch as soon as any index subset violates its bound.
+
+The three named volumes are ``volume_signed_sum`` of the ``decompose_*``
+decompositions once one-element ground sets, components and loops are split
+off; the base volume sums whichever of M and its dual has fewer summands.
 
 ``matvol volume`` and ``orbit_degree`` use the much faster pyramid
 recursion of ``pyramid`` instead; ``verify`` checks the two routes against
@@ -30,9 +34,14 @@ from math import factorial
 from typing import NamedTuple, Sequence
 
 from .bitset import subset_sort_key
-from .decomposition import FAMILY_DELTA, SignedDecomposition
+from .decomposition import (
+    FAMILY_DELTA,
+    SignedDecomposition,
+    decompose_base_polytope,
+    decompose_independent_polytope,
+    decompose_truncation_flag,
+)
 from .errors import DimensionMismatch, DisconnectedMatroid
-from .invariants import signed_beta_contractions, signed_gamma_contractions
 from .matroid import Matroid, components, dual, is_connected, restriction
 from .pyramid import orbit_degree  # noqa: F401 -- re-exported for callers that import it from here
 
@@ -126,16 +135,6 @@ class TermGroup(NamedTuple):
     signed_sum: int
 
 
-def _support_table(table: Sequence[int], skip_mask: int | None) -> list[tuple[int, int]]:
-    support = [
-        (mask, coeff)
-        for mask, coeff in enumerate(table)
-        if coeff != 0 and mask != skip_mask
-    ]
-    support.sort(key=lambda mc: subset_sort_key(mc[0]))
-    return support
-
-
 def signed_tuple_sum(
     support: Sequence[tuple[int, int]],
     length: int,
@@ -166,70 +165,57 @@ def signed_tuple_sum(
         suffix_sum[i] = suffix_sum[i + 1] + ordered[i][1]
         suffix_maxpc[i] = max(suffix_maxpc[i + 1], ordered[i][0].bit_count())
 
-    def run_task(start: int, mult: int) -> int:
-        mask, coeff = ordered[start]
-        pc = mask.bit_count()
-        if pc + mult > bound:
-            return 0
-        total = 0
-        budget0 = length - mult
-        entries0 = [(mask, pc, mult)] if pc + mult + budget0 > bound else []
-        stack = [(start + 1, budget0, entries0, coeff**mult, factorial(mult))]
-        while stack:
-            idx, budget, entries, prod, denom = stack.pop()
-            if budget == 0:
-                total += (fact // denom) * prod
-                continue
-            if idx == count:
-                continue
-            if not entries and suffix_maxpc[idx] + budget <= bound:
-                total += (
-                    fact // (denom * factorial(budget))
-                ) * prod * suffix_sum[idx] ** budget
-                continue
-            stack.append((idx + 1, budget, entries, prod, denom))
-            m_, c_ = ordered[idx]
-            mpc = m_.bit_count()
-            for mu in range(1, budget + 1):
-                rest = budget - mu
-                if mpc + mu > bound:
+    total = 0
+    stack = [(0, length, [], 1, 1)]
+    while stack:
+        idx, budget, entries, prod, denom = stack.pop()
+        if budget == 0:
+            total += (fact // denom) * prod
+            continue
+        if idx == count:
+            continue
+        if not entries and suffix_maxpc[idx] + budget <= bound:
+            total += fact // (denom * factorial(budget)) * prod * suffix_sum[idx] ** budget
+            continue
+        stack.append((idx + 1, budget, entries, prod, denom))
+        m_, c_ = ordered[idx]
+        mpc = m_.bit_count()
+        for mu in range(1, budget + 1):
+            rest = budget - mu
+            if mpc + mu > bound:
+                break
+            new_entries = []
+            if mpc + mu + rest > bound:
+                new_entries.append((m_, mpc, mu))
+            ok = True
+            for im, ipc, cnt in entries:
+                nm = im & m_
+                npc = nm.bit_count()
+                nc = cnt + mu
+                if npc + nc > bound:
+                    ok = False
                     break
-                new_entries = []
-                if mpc + mu + rest > bound:
-                    new_entries.append((m_, mpc, mu))
-                ok = True
-                for im, ipc, cnt in entries:
-                    nm = im & m_
-                    npc = nm.bit_count()
-                    nc = cnt + mu
-                    if npc + nc > bound:
-                        ok = False
-                        break
-                    if npc + nc + rest > bound:
-                        new_entries.append((nm, npc, nc))
-                    if ipc + cnt + rest > bound:
-                        new_entries.append((im, ipc, cnt))
-                if not ok:
-                    break
-                stack.append(
-                    (idx + 1, rest, new_entries, prod * c_**mu, denom * factorial(mu))
-                )
-        return total
-
-    return sum(run_task(i, mult) for i in range(count) for mult in range(1, length + 1))
+                if npc + nc + rest > bound:
+                    new_entries.append((nm, npc, nc))
+                if ipc + cnt + rest > bound:
+                    new_entries.append((im, ipc, cnt))
+            if not ok:
+                break
+            stack.append((idx + 1, rest, new_entries, prod * c_**mu, denom * factorial(mu)))
+    return total
 
 
 def _census_walk(
     support: Sequence[tuple[int, int]], length: int, bound: int
 ) -> dict[tuple[int, ...], TermGroup]:
     """Exhaustive multiset walk grouping ordered-tuple contributions by the
-    sorted cardinalities of the chosen sets.
+    sorted cardinalities of the chosen sets, over a support in
+    ``_tuple_support`` order.
 
     It stays apart from ``signed_tuple_sum``: the collapse to a power of the
     remaining total, which makes that engine fast, skips the very leaves a
     census must see.
     """
-    ordered = sorted(support, key=lambda mc: subset_sort_key(mc[0]))
     fact = factorial(length)
     census: dict[tuple[int, ...], TermGroup] = {}
 
@@ -246,10 +232,10 @@ def _census_walk(
         if budget == 0:
             leaf(chosen, prod, denom)
             return
-        if idx == len(ordered):
+        if idx == len(support):
             return
         dfs(idx + 1, budget, entries, chosen, prod, denom)
-        m_, c_ = ordered[idx]
+        m_, c_ = support[idx]
         for mu in range(1, budget + 1):
             new_entries = [(m_, mu)]
             ok = m_.bit_count() + mu <= bound
@@ -302,20 +288,39 @@ def ordered_contributing_terms(
 # volumes
 # ---------------------------------------------------------------------------
 
+def _tuple_support(d: SignedDecomposition) -> list[tuple[int, int]]:
+    """The (contraction set, coefficient) pairs of a decomposition: each
+    summand mask's complement, sorted by cardinality then value."""
+    full = (1 << d.n) - 1
+    return sorted(
+        ((full ^ mask, coeff) for mask, coeff in d.coeffs.items()),
+        key=lambda mc: subset_sort_key(mc[0]),
+    )
+
+
 def _beta_support(m: Matroid) -> list[tuple[int, int]]:
-    return _support_table(signed_beta_contractions(m), m.full_mask)
+    return _tuple_support(decompose_base_polytope(m))
 
 
-def _gamma_support(m: Matroid) -> list[tuple[int, int]]:
-    return _support_table(signed_gamma_contractions(m), m.full_mask)
+def volume_signed_sum(d: SignedDecomposition) -> Fraction:
+    """Volume of a signed sum of simplex summands via 0/1 mixed volumes.
+
+    Delta families expand over (n-1)-tuples whose complements must satisfy
+    the strict bounds; D families over n-tuples with the weak bounds.
+    """
+    if d.n < 1:
+        raise DimensionMismatch("signed sums need an ambient ground set")
+    length, strict = (d.n - 1, True) if d.family == FAMILY_DELTA else (d.n, False)
+    total = signed_tuple_sum(_tuple_support(d), length, d.n, strict=strict)
+    return Fraction(total, factorial(length))
 
 
 def volume_base_polytope(m: Matroid, threads: int = 1) -> Fraction:
     """Volume of the base polytope.
 
-    Connected matroids use the signed-beta tuple sum, run on whichever of M
-    and its dual has the smaller support (the two polytopes are congruent).
-    Disconnected matroids factor into a product over components.
+    Connected matroids sum the decomposition of whichever of M and its dual
+    has fewer summands (the two polytopes are congruent).  Disconnected
+    matroids factor into a product over components.
     """
     if m.n == 1:
         return Fraction(1)  # a single point either way
@@ -324,12 +329,9 @@ def volume_base_polytope(m: Matroid, threads: int = 1) -> Fraction:
         for comp in components(m):
             result *= volume_base_polytope(restriction(m, comp))
         return result
-    support = _beta_support(m)
-    dual_support = _beta_support(dual(m))
-    if len(dual_support) < len(support):
-        support = dual_support
-    total = signed_tuple_sum(support, m.n - 1, m.n, strict=True)
-    return Fraction(total, factorial(m.n - 1))
+    d = decompose_base_polytope(m)
+    dual_d = decompose_base_polytope(dual(m))
+    return volume_signed_sum(dual_d if len(dual_d.coeffs) < len(d.coeffs) else d)
 
 
 def volume_independent_polytope(m: Matroid, threads: int = 1) -> Fraction:
@@ -345,12 +347,11 @@ def volume_independent_polytope(m: Matroid, threads: int = 1) -> Fraction:
         for comp in components(m):
             result *= volume_independent_polytope(restriction(m, comp))
         return result
-    total = signed_tuple_sum(_beta_support(m), m.n, m.n, strict=False)
-    return Fraction(total, factorial(m.n))
+    return volume_signed_sum(decompose_independent_polytope(m))
 
 
 def volume_truncation_flag(m: Matroid, threads: int = 1) -> Fraction:
-    """Volume of the truncation flag polytope via the signed-gamma tuple sum.
+    """Volume of the truncation flag polytope from its signed-gamma decomposition.
 
     The expansion needs the flag polytope to be full-dimensional in its
     hyperplane, which holds exactly when M has no loops (the rank-1
@@ -362,29 +363,7 @@ def volume_truncation_flag(m: Matroid, threads: int = 1) -> Fraction:
         )
     if m.n == 1:
         return Fraction(1)
-    total = signed_tuple_sum(_gamma_support(m), m.n - 1, m.n, strict=True)
-    return Fraction(total, factorial(m.n - 1))
-
-
-def volume_signed_sum(d: SignedDecomposition) -> Fraction:
-    """Volume of a signed sum of simplex summands via 0/1 mixed volumes.
-
-    Delta families expand over (n-1)-tuples whose complements must satisfy
-    the strict bounds; D families over n-tuples with the weak bounds.
-    """
-    if d.n < 1:
-        raise DimensionMismatch("signed sums need an ambient ground set")
-    full = (1 << d.n) - 1
-    support = sorted(
-        ((full ^ mask, coeff) for mask, coeff in d.coeffs.items()),
-        key=lambda mc: subset_sort_key(mc[0]),
-    )
-    if d.family == FAMILY_DELTA:
-        length, strict = d.n - 1, True
-    else:
-        length, strict = d.n, False
-    total = signed_tuple_sum(support, length, d.n, strict=strict)
-    return Fraction(total, factorial(length))
+    return volume_signed_sum(decompose_truncation_flag(m))
 
 
 def independent_volume_census(m: Matroid) -> dict[tuple[int, ...], TermGroup]:
@@ -392,7 +371,7 @@ def independent_volume_census(m: Matroid) -> dict[tuple[int, ...], TermGroup]:
     cardinalities of the contraction sets in each ordered tuple."""
     if not is_connected(m):
         raise DisconnectedMatroid("the term census expands the connected formula")
-    return _census_walk(_beta_support(m), m.n, m.n)
+    return _census_walk(_tuple_support(decompose_independent_polytope(m)), m.n, m.n)
 
 
 def flag_volume_ordered_terms(m: Matroid) -> list[tuple[tuple[int, ...], int]]:
@@ -401,4 +380,5 @@ def flag_volume_ordered_terms(m: Matroid) -> list[tuple[tuple[int, ...], int]]:
         raise DisconnectedMatroid(
             "flag polytope is lower-dimensional for matroids with loops"
         )
-    return ordered_contributing_terms(_gamma_support(m), m.n - 1, m.n, strict=True)
+    support = _tuple_support(decompose_truncation_flag(m))
+    return ordered_contributing_terms(support, m.n - 1, m.n, strict=True)

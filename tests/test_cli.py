@@ -1,11 +1,15 @@
+import contextlib
 import hashlib
+import resource
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from matvol.cli import main, parse_matroid_file, serialize_matroid
-from matvol.errors import ParseError, RankMismatch, UnequalCardinality
-from matvol.matroid import from_bases, uniform
+from matvol.errors import MatvolError, ParseError, RankMismatch, UnequalCardinality
+from matvol.matroid import Matroid, from_bases, uniform
 
 U23_TEXT = "n: 3\nbases: 1,2 1,3 2,3\n"
 PYRAMID_TEXT = "n: 4\nbases: 1,2 1,3 1,4 2,3 2,4\n"
@@ -322,3 +326,80 @@ def test_graph_vertex_labels_do_not_size_the_work(tmp_path):
         outputs.append(proc.stdout.splitlines()[2:])  # past the command and digest lines
     assert outputs[0] == outputs[1]
     assert "rank = 2" in outputs[0]
+
+
+# ---------------------------------------------------------------------------
+# inputs that must fail fast
+# ---------------------------------------------------------------------------
+
+HUGE_N_BASES_TEXT = "n: 100000000000\nbases: 100000000000\n"
+
+
+@contextlib.contextmanager
+def _address_space_headroom(extra=1 << 30):
+    """Cap this process's address space at its current size plus ``extra``
+    while the block runs, so an input that sizes an integer by a huge label
+    raises MemoryError here instead of paging."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        cap = int(fh.read().split()[0]) * resource.getpagesize() + extra
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+_FUZZ_INTS = st.one_of(st.integers(-3, 6), st.sampled_from([21, 10**11, -(10**11)]))
+_FUZZ_LINES = st.one_of(
+    _FUZZ_INTS.map("n: {}".format),
+    _FUZZ_INTS.map("rank: {}".format),
+    st.lists(st.lists(_FUZZ_INTS, min_size=1, max_size=3).map(lambda b: ",".join(map(str, b))), max_size=4)
+    .map(lambda bs: "bases: " + " ".join(bs)),
+    st.tuples(_FUZZ_INTS, _FUZZ_INTS).map(lambda kn: f"uniform: {kn[0]} {kn[1]}"),
+    st.lists(st.tuples(_FUZZ_INTS, _FUZZ_INTS).map(lambda uv: f"{uv[0]}-{uv[1]}"), max_size=5)
+    .map(lambda es: "graph: " + " ".join(es)),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(HUGE_N_BASES_TEXT)
+@given(
+    st.one_of(
+        st.lists(_FUZZ_LINES, max_size=5),
+        st.tuples(_FUZZ_INTS, st.lists(_FUZZ_LINES, max_size=4)).map(lambda t: [f"n: {t[0]}", *t[1]]),
+    ).map("\n".join)
+)
+def test_grammar_fuzz_gives_a_matroid_or_a_matvol_error(text):
+    with _address_space_headroom():
+        try:
+            m = parse_matroid_file(text)
+        except MatvolError:
+            return
+    assert isinstance(m, Matroid)
+
+
+@pytest.mark.parametrize(
+    "argv, text", [(["invariants"], HUGE_N_BASES_TEXT), (["verify", "--catalog", "--max-n", "10"], None)]
+)
+def test_inputs_past_the_caps_exit_2_at_once(tmp_path, argv, text):
+    """A huge ``n:`` and a catalog past ``VERIFY_MAX_N`` are refused before
+    any table or catalog is built.  The child's address space is capped at
+    1 GiB and its wall time at 5 s."""
+    import subprocess
+    import sys
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    files = [write(tmp_path, "huge.matroid", text)] if text else []
+    proc = subprocess.run(
+        [sys.executable, "-m", "matvol.cli", *argv, *files],
+        capture_output=True, text=True, preexec_fn=capped, timeout=5,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")

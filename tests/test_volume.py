@@ -4,6 +4,8 @@ from itertools import product
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matvol.decomposition import (
     FAMILY_DELTA,
@@ -232,3 +234,25 @@ def test_independent_census_groups_ordered_terms(catalog5):
         assert census == {k: TermGroup(*v) for k, v in expected.items()}, entry.name
         checked += 1
     assert checked >= 5
+
+
+@st.composite
+def _tuple_sum_inputs(draw):
+    n = draw(st.integers(1, 5))
+    support = draw(st.lists(
+        st.tuples(st.integers(0, (1 << n) - 1), st.integers(-3, 3)),
+        max_size=5,
+        unique_by=lambda mc: mc[0],
+    ))
+    return n, support
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tuple_sum_inputs())
+def test_tuple_sum_against_ordered_enumeration_property(inputs):
+    """Every n from 1, the empty set among the masks, and supports whose
+    walk collapses at the root (no set can violate a bound)."""
+    n, support = inputs
+    for strict, length in ((True, n - 1), (False, n)):
+        fast = signed_tuple_sum(support, length, n, strict)
+        assert fast == signed_tuple_sum_ordered(support, length, n, strict), (support, n, strict)
