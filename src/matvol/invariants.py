@@ -101,13 +101,12 @@ def signed_beta_contractions(m: Matroid) -> list[int]:
     superset sum of this matroid's rank table (a downward ``sub`` fold), and
     the contraction rank parity cancels against it, leaving the sign -1 for
     every entry.  The fold of the corank r - r(B) carries that sign: the
-    constant r sums to 0 over the supersets of every A but E.
+    constant r sums to 0 over the supersets of every A but E, and the entry
+    of E is its own corank, 0, the beta of the empty contraction.
     """
     r = m.rank_value
     corank = m.rank_table.translate(bytes(range(r, -1, -1)) + bytes(255 - r))
-    out = fold_subsets(corank, m.n, sub, upward=False)
-    out[m.full_mask] = 0  # the empty contraction has no elements, beta 0
-    return out
+    return fold_subsets(corank, m.n, sub, upward=False)
 
 
 def signed_gamma_contractions(m: Matroid) -> list[int]:

@@ -6,10 +6,12 @@ exact convex hulls and pyramid decompositions, with no reference to the
 invariant formulas they are checked against.
 
 Volumes are measured in one of two lattices: base and flag polytopes live
-in a coordinate-sum hyperplane and are normalized with respect to the
-lattice spanned by the consecutive coordinate differences e_i - e_{i+1}
-(``ROOT``); independent set polytopes are full-dimensional and use the
-standard integer lattice (``STANDARD``).
+in a coordinate-sum hyperplane x(E) = c and are normalized with respect to
+its integer points, a translate of the lattice spanned by the consecutive
+coordinate differences e_i - e_{i+1} (``ROOT``).  Dropping the last
+coordinate maps those points one-to-one onto Z^(n-1), since x_n follows
+from the sum, so the volume is measured there.  Independent set polytopes
+are full-dimensional and use the standard integer lattice (``STANDARD``).
 
 A point set that is not full-dimensional is hulled in an integer chart
 y = B(x - o), where the rows of B are independent differences p - o of the
@@ -206,22 +208,6 @@ def simplex_vertices(n: int, mask: int, coned: bool = False) -> VertexSet:
     return _vertex_set(n, pts)
 
 
-def _root_lattice_coords(points: tuple[Vec, ...]) -> list[Vec]:
-    """Coordinates in the basis e_1-e_2, ..., e_{n-1}-e_n after shifting by
-    the lexicographically smallest point: prefix sums of the difference."""
-    base = min(points)
-    out = []
-    for p in points:
-        diff = [x - y for x, y in zip(p, base)]
-        acc = 0
-        coords = []
-        for x in diff[:-1]:
-            acc += x
-            coords.append(acc)
-        out.append(tuple(coords))
-    return out
-
-
 def volume_exact(v: VertexSet, frame: LatticeFrame) -> Fraction:
     """Lattice-normalized volume of conv(points) in the given frame."""
     if frame is LatticeFrame.ROOT:
@@ -231,7 +217,7 @@ def volume_exact(v: VertexSet, frame: LatticeFrame) -> Fraction:
             )
         if v.n == 1:
             return Fraction(1)
-        return normalized_volume(_root_lattice_coords(v.points))
+        return normalized_volume([p[:-1] for p in v.points])
     if frame is LatticeFrame.STANDARD:
         if v.affine_dim != v.n:
             raise DimensionMismatch("standard-lattice volume needs a full-dimensional point set")

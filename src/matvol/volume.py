@@ -17,6 +17,8 @@ counting and prunes a branch as soon as any index subset violates its bound.
 The three named volumes are ``volume_signed_sum`` of the ``decompose_*``
 decompositions once one-element ground sets, components and loops are split
 off; the base volume sums whichever of M and its dual has fewer summands.
+``independent_volume_census`` is the same sum over size-graded coefficients,
+which group the ordered tuples by the sorted sizes of their sets.
 
 ``matvol volume`` and ``orbit_degree`` use the much faster pyramid
 recursion of ``pyramid`` instead; ``verify`` checks the two routes against
@@ -31,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import factorial
-from typing import NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .bitset import subset_sort_key
 from .decomposition import (
@@ -135,12 +137,43 @@ class TermGroup(NamedTuple):
     signed_sum: int
 
 
+class _SizeGraded(dict):
+    """Census coefficients: sorted contraction-set sizes -> (tuple count,
+    signed sum).  Sums add the pairs of equal keys; products join the keys
+    and multiply the pairs entrywise, and an integer scales both entries."""
+
+    __slots__ = ()
+
+    def __add__(self, other: _SizeGraded) -> _SizeGraded:
+        out = _SizeGraded(self)
+        for key, (t, s) in other.items():
+            t0, s0 = out.get(key, (0, 0))
+            out[key] = (t0 + t, s0 + s)
+        return out
+
+    def __radd__(self, zero: int) -> _SizeGraded:
+        return self  # 0 + x: the engine starts every sum at the integer 0
+
+    def __mul__(self, other: _SizeGraded | int) -> _SizeGraded:
+        if isinstance(other, int):
+            return _SizeGraded({key: (other * t, other * s) for key, (t, s) in self.items()})
+        out = _SizeGraded()
+        for k1, (t1, s1) in self.items():
+            for k2, (t2, s2) in other.items():
+                key = tuple(sorted(k1 + k2))
+                t0, s0 = out.get(key, (0, 0))
+                out[key] = (t0 + t1 * t2, s0 + s1 * s2)
+        return out
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> _SizeGraded:
+        return self if k == 1 else self * self ** (k - 1)
+
+
 def signed_tuple_sum(
-    support: Sequence[tuple[int, int]],
-    length: int,
-    n: int,
-    strict: bool,
-) -> int:
+    support: Sequence[tuple[int, Any]], length: int, n: int, strict: bool
+) -> Any:
     """Sum over all valid ordered tuples of the product of coefficients.
 
     ``support`` lists (mask, coefficient) pairs.  Tuples are enumerated as
@@ -151,6 +184,11 @@ def signed_tuple_sum(
     dropped, and once nothing can be violated at all the rest of the sum
     collapses to a power of the remaining coefficient total, since
     unconstrained ordered tuples factorize.
+
+    Coefficients are integers for the volumes and ``_SizeGraded`` for the
+    census: any type with ``+``, ``*``, ``**`` and integer multiples, where
+    ``0 + c`` and ``1 * c`` are ``c``.  ``length == 0`` gives the integer 1,
+    and a support with no valid tuple the integer 0.
     """
     bound = n - 1 if strict else n
     if length == 0:
@@ -203,63 +241,6 @@ def signed_tuple_sum(
                 break
             stack.append((idx + 1, rest, new_entries, prod * c_**mu, denom * factorial(mu)))
     return total
-
-
-def _census_walk(
-    support: Sequence[tuple[int, int]], length: int, bound: int
-) -> dict[tuple[int, ...], TermGroup]:
-    """Exhaustive multiset walk grouping ordered-tuple contributions by the
-    sorted cardinalities of the chosen sets, over a support in
-    ``_tuple_support`` order.
-
-    It stays apart from ``signed_tuple_sum``: the collapse to a power of the
-    remaining total, which makes that engine fast, skips the very leaves a
-    census must see.
-    """
-    fact = factorial(length)
-    census: dict[tuple[int, ...], TermGroup] = {}
-
-    def leaf(chosen, prod, denom):
-        perms = fact // denom
-        sig = []
-        for m_, mu in chosen:
-            sig.extend([m_.bit_count()] * mu)
-        key = tuple(sorted(sig))
-        prev = census.get(key, TermGroup(0, 0))
-        census[key] = TermGroup(prev.tuples + perms, prev.signed_sum + perms * prod)
-
-    def dfs(idx, budget, entries, chosen, prod, denom):
-        if budget == 0:
-            leaf(chosen, prod, denom)
-            return
-        if idx == len(support):
-            return
-        dfs(idx + 1, budget, entries, chosen, prod, denom)
-        m_, c_ = support[idx]
-        for mu in range(1, budget + 1):
-            new_entries = [(m_, mu)]
-            ok = m_.bit_count() + mu <= bound
-            if ok:
-                for im, cnt in entries:
-                    nm = im & m_
-                    nc = cnt + mu
-                    if nm.bit_count() + nc > bound:
-                        ok = False
-                        break
-                    new_entries.append((nm, nc))
-            if not ok:
-                break
-            dfs(
-                idx + 1,
-                budget - mu,
-                entries + new_entries,
-                chosen + [(m_, mu)],
-                prod * c_**mu,
-                denom * factorial(mu),
-            )
-
-    dfs(0, length, [], [], 1, 1)
-    return census
 
 
 def signed_tuple_sum_ordered(
@@ -371,7 +352,10 @@ def independent_volume_census(m: Matroid) -> dict[tuple[int, ...], TermGroup]:
     cardinalities of the contraction sets in each ordered tuple."""
     if not is_connected(m):
         raise DisconnectedMatroid("the term census expands the connected formula")
-    return _census_walk(_tuple_support(decompose_independent_polytope(m)), m.n, m.n)
+    support = _tuple_support(decompose_independent_polytope(m))
+    graded = [(a, _SizeGraded({(a.bit_count(),): (1, c)})) for a, c in support]
+    total = signed_tuple_sum(graded, m.n, m.n, strict=False)
+    return {key: TermGroup(*pair) for key, pair in (total or {}).items()}
 
 
 def flag_volume_ordered_terms(m: Matroid) -> list[tuple[tuple[int, ...], int]]:

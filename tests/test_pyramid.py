@@ -7,13 +7,13 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from itertools import permutations
-from math import factorial
+from itertools import combinations, permutations
+from math import comb, factorial
 
 import pytest
 
 import matvol
-from matvol.matroid import is_connected, uniform
+from matvol.matroid import from_bases, is_connected, uniform
 from matvol.oracle import LatticeFrame, VertexSet, vertices_base, vertices_indep, volume_exact
 from matvol.pyramid import (
     pyramid_normalized_volume,
@@ -283,3 +283,37 @@ def test_oversized_volume_exits_within_the_work_budget(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: the volume recursion needs more than")
+
+
+def sparse_paving(k: int, n: int, hyperplanes: int, seed: int):
+    """U(k, n) less up to ``hyperplanes`` bases, picked greedily from the
+    k-subsets in a seeded order so that any two meet in at most k - 2
+    elements; the picked sets are then circuit-hyperplanes.  Returns the
+    matroid, built through the exchange check, and the number picked."""
+    subsets = [sum(1 << e for e in c) for c in combinations(range(n), k)]
+    random.Random(seed).shuffle(subsets)
+    picked: list[int] = []
+    for h in subsets:
+        if len(picked) < hyperplanes and all((h & g).bit_count() <= k - 2 for g in picked):
+            picked.append(h)
+    return from_bases(n, set(subsets) - set(picked)), len(picked)
+
+
+@pytest.mark.parametrize("k, n", [(2, 5), (3, 6), (3, 7), (4, 8), (4, 9), (5, 10), (6, 12)])
+def test_sparse_paving_closed_forms(k, n):
+    """Relaxing a circuit-hyperplane adds a pyramid to each polytope
+    (Ferroni 2022), so a sparse paving matroid with lam circuit-hyperplanes
+    has (n-1)! Vol_base = A(n-1, k-1) - lam C(n-2, k-1) and
+    n! Vol_indep = sum over j < k of A(n, j) - lam C(n-1, k-1): the first
+    non-uniform closed forms past the oracle's reach, and at n <= 6 also a
+    check of the tuple formula."""
+    for target in (1, 3, 10):
+        m, lam = sparse_paving(k, n, target, seed=1000 * n + target)
+        assert lam == 1 if target == 1 else lam >= 2, (k, n, target)
+        base = Fraction(eulerian(n - 1, k - 1) - lam * comb(n - 2, k - 1), factorial(n - 1))
+        indep = Fraction(sum(eulerian(n, j) for j in range(k)) - lam * comb(n - 1, k - 1), factorial(n))
+        assert pyramid_volume_base(m) == base, (k, n, lam)
+        assert pyramid_volume_independent(m) == indep, (k, n, lam)
+        if n <= 6:
+            assert volume_base_polytope(m) == base, (k, n, lam)
+            assert volume_independent_polytope(m) == indep, (k, n, lam)

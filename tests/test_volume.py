@@ -15,8 +15,10 @@ from matvol.decomposition import (
 )
 from matvol.errors import DisconnectedMatroid
 from matvol.matroid import direct_sum, dual, from_bases, is_connected, uniform
+from matvol.pyramid import pyramid_volume_independent
 from matvol.volume import (
     TermGroup,
+    _SizeGraded,
     dragon_marriage,
     dragon_marriage_intersection_bounds,
     flag_volume_ordered_terms,
@@ -256,3 +258,50 @@ def test_tuple_sum_against_ordered_enumeration_property(inputs):
     for strict, length in ((True, n - 1), (False, n)):
         fast = signed_tuple_sum(support, length, n, strict)
         assert fast == signed_tuple_sum_ordered(support, length, n, strict), (support, n, strict)
+
+
+def _grouped_by_sizes(support, length, n, strict):
+    """Count and signed sum of the valid ordered tuples, keyed by their
+    sorted set sizes: the census by definition."""
+    groups = {}
+    for sets, prod in ordered_contributing_terms(support, length, n, strict):
+        key = tuple(sorted(s.bit_count() for s in sets))
+        tuples, signed = groups.get(key, (0, 0))
+        groups[key] = (tuples + 1, signed + prod)
+    return groups
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tuple_sum_inputs())
+def test_size_graded_tuple_sum_groups_ordered_terms_property(inputs):
+    """The census coefficients through the volume engine, with its record
+    dropping and collapse, against the naive ordered enumeration."""
+    n, support = inputs
+    graded = [(mask, _SizeGraded({(mask.bit_count(),): (1, c)})) for mask, c in support]
+    for strict, length in ((True, n - 1), (False, n)):
+        if length:
+            total = signed_tuple_sum(graded, length, n, strict) or {}
+            assert total == _grouped_by_sizes(support, length, n, strict), (support, n, strict)
+
+
+def test_census_totals_against_the_pyramid_recursion(catalog5):
+    """The signed sums of a census add up to n! Vol, and the recursion
+    computes Vol without tuples."""
+    checked = 0
+    for entry in catalog5:
+        m = entry.matroid
+        if not is_connected(m):
+            continue
+        total = sum(group.signed_sum for group in independent_volume_census(m).values())
+        assert total == factorial(m.n) * pyramid_volume_independent(m), entry.name
+        checked += 1
+    assert checked == 21
+
+
+def test_census_at_n6():
+    """U(3,6): one key per multiset of six contraction-set sizes that some
+    valid tuple takes, and n! Vol = A(6,0) + A(6,1) + A(6,2) = 1 + 57 + 302."""
+    census = independent_volume_census(uniform(3, 6))
+    assert len(census) == 28
+    assert all(len(key) == 6 for key in census)
+    assert sum(group.signed_sum for group in census.values()) == 360
