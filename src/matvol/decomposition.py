@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import operator
 from itertools import compress
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .bitset import elements_of, fold_subsets, subset_sort_key
 from .errors import FamilyMismatch
@@ -232,32 +232,17 @@ def scale(d: SignedDecomposition, factor: int) -> SignedDecomposition:
     return make_decomposition(d.n, d.family, {k: factor * v for k, v in d.coeffs.items()})
 
 
-def support_evaluator(d: SignedDecomposition) -> Callable[[Sequence[int]], int]:
-    """The support function of the signed sum, as a function of the direction.
+def support_function(d: SignedDecomposition, w: Sequence[int]) -> int:
+    """Value of the signed sum's support function at an integer direction.
 
     Support functions are additive under Minkowski sums, so this is the
     coefficient-weighted sum of the summands' maxima; D summands floor at 0
     because they contain the origin.  Integer inputs make the result exact.
-    Each summand's elements are listed once, so evaluating many directions
-    costs one max per summand and direction.
     """
-    terms = [(tuple(e - 1 for e in elements_of(mask)), c) for mask, c in d.coeffs.items()]
-    floor = d.family == FAMILY_D
-
-    def value(w: Sequence[int]) -> int:
-        if len(w) != d.n:
-            raise ValueError(f"direction has length {len(w)}, expected {d.n}")
-        total = 0
-        for elements, c in terms:
-            best = max(map(w.__getitem__, elements))
-            if floor and best < 0:
-                best = 0
-            total += c * best
-        return total
-
-    return value
-
-
-def support_function(d: SignedDecomposition, w: Sequence[int]) -> int:
-    """Value of the signed sum's support function at an integer direction."""
-    return support_evaluator(d)(w)
+    if len(w) != d.n:
+        raise ValueError(f"direction has length {len(w)}, expected {d.n}")
+    total = 0
+    for mask, c in d.coeffs.items():
+        best = max(w[e - 1] for e in elements_of(mask))
+        total += c * (max(best, 0) if d.family == FAMILY_D else best)
+    return total
