@@ -15,8 +15,10 @@ cardinality then numeric value, and the command echo omits anything (thread
 counts, file paths) that does not affect the result.  Exit codes: 0 on
 success, 1 on a verification mismatch, 2 on parse or validation errors.
 
-Each command imports the engine it runs when it runs, so a process loads
-only the parser, the matroid layer and the one engine its command needs.
+Engines load through the package's lazy modules: ``cli`` binds them at
+import without running them, and each runs on the first call a command
+makes into it, so a process loads only the parser, the matroid layer and
+the one engine its command needs.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import argparse
 import hashlib
 import sys
 
+from . import decomposition, invariants, pyramid, verify
 from .bitset import elements_of, mask_of, subset_formatter
 from .catalog import full_catalog
 from .errors import GroundSetTooLarge, MatvolError, ParseError, RankMismatch, WorkBudgetExceeded
@@ -73,7 +76,7 @@ def parse_matroid_file(text: str) -> Matroid:
             n = _parse_int(rest, "ground set size", lineno)
             if n > MAX_GROUND_SET:
                 raise GroundSetTooLarge(f"n={n} exceeds the hard limit of {MAX_GROUND_SET} elements")
-        elif key in ("bases", "uniform", "graph"):
+        elif key in _GENERATORS:
             if n is None:
                 raise ParseError("'n: <int>' must come first", lineno)
             if generator is not None:
@@ -94,12 +97,7 @@ def parse_matroid_file(text: str) -> Matroid:
         raise ParseError("missing generator clause (bases / uniform / graph)")
 
     kind, rest, lineno = generator
-    if kind == "bases":
-        m = _parse_bases(n, rest, lineno)
-    elif kind == "uniform":
-        m = _parse_uniform(n, rest, lineno)
-    else:
-        m = _parse_graph(n, rest, lineno)
+    m = _GENERATORS[kind](n, rest, lineno)
 
     if declared_rank is not None and declared_rank[0] != m.rank_value:
         raise RankMismatch(
@@ -164,6 +162,9 @@ def _parse_graph(n: int, rest: str, lineno: int) -> Matroid:
     return graphic(Graph(vertices, tuple(edges)))
 
 
+_GENERATORS = {"bases": _parse_bases, "uniform": _parse_uniform, "graph": _parse_graph}
+
+
 def serialize_matroid(m: Matroid) -> str:
     """Canonical file form; parse(serialize(M)) reproduces M."""
     if m.rank_value == 0:
@@ -187,20 +188,15 @@ def _load(path: str) -> tuple[Matroid, str]:
     return parse_matroid_file(text), digest
 
 
-def cmd_decompose(m: Matroid, digest: str, polytope: str) -> Report:
-    from .decomposition import (
-        decompose_base_polytope,
-        decompose_independent_polytope,
-        decompose_truncation_flag,
-    )
-
+def cmd_decompose(args) -> Report:
+    m, digest = _load(args.file)
     maker = {
-        "base": decompose_base_polytope,
-        "indep": decompose_independent_polytope,
-        "flag": decompose_truncation_flag,
-    }[polytope]
+        "base": decomposition.decompose_base_polytope,
+        "indep": decomposition.decompose_independent_polytope,
+        "flag": decomposition.decompose_truncation_flag,
+    }[args.polytope]
     d = maker(m)
-    report = Report(f"decompose --polytope {polytope}", digest)
+    report = Report(f"decompose --polytope {args.polytope}", digest)
     report.lines.append(f"family: {d.family}")
     render = subset_formatter(m.n)
     for mask, c in d.sorted_items():
@@ -208,39 +204,37 @@ def cmd_decompose(m: Matroid, digest: str, polytope: str) -> Report:
     return report
 
 
-def cmd_volume(m: Matroid, digest: str, polytope: str, degree: bool) -> Report:
-    from .pyramid import orbit_degree, pyramid_volume_base, pyramid_volume_flag, pyramid_volume_independent
-
-    if degree:  # base polytope only; orbit_degree computes its volume once
-        vol, normalized = orbit_degree(m)
+def cmd_volume(args) -> Report:
+    m, digest = _load(args.file)
+    if args.degree:  # base polytope only; orbit_degree computes its volume once
+        vol, normalized = pyramid.orbit_degree(m)
     else:
         compute = {
-            "base": pyramid_volume_base,
-            "indep": pyramid_volume_independent,
-            "flag": pyramid_volume_flag,
-        }[polytope]
+            "base": pyramid.pyramid_volume_base,
+            "indep": pyramid.pyramid_volume_independent,
+            "flag": pyramid.pyramid_volume_flag,
+        }[args.polytope]
         vol = compute(m)
-    command = f"volume --polytope {polytope}" + (" --degree" if degree else "")
+    command = f"volume --polytope {args.polytope}" + (" --degree" if args.degree else "")
     report = Report(command, digest)
     report.lines.append(f"volume = {vol}")
-    if degree:
+    if args.degree:
         report.lines.append(f"normalized_volume = {normalized}")
     return report
 
 
-def cmd_invariants(m: Matroid, digest: str) -> Report:
-    from .invariants import beta, signed_beta, tutte
-
+def cmd_invariants(args) -> Report:
+    m, digest = _load(args.file)
     report = Report("invariants", digest)
-    t = tutte(m)
+    t = invariants.tutte(m)
     report.lines.append(f"n = {m.n}")
     report.lines.append(f"rank = {m.rank_value}")
     report.lines.append(f"bases = {len(m.bases)}")
     report.lines.append(f"connected = {'true' if is_connected(m) else 'false'}")
     for (i, j), c in sorted(t.coeffs):
         report.lines.append(f"tutte b[{i},{j}] = {c}")
-    report.lines.append(f"beta = {beta(m)}")
-    report.lines.append(f"signed_beta = {signed_beta(m)}")
+    report.lines.append(f"beta = {invariants.beta(m)}")
+    report.lines.append(f"signed_beta = {invariants.signed_beta(m)}")
     g = t.gamma()
     report.lines.append(f"gamma = {g}")
     report.lines.append(f"signed_gamma = {g if m.rank_value % 2 == 0 else -g}")
@@ -250,12 +244,10 @@ def cmd_invariants(m: Matroid, digest: str) -> Report:
 
 
 def cmd_verify(args) -> Report:
-    from .verify import VERIFY_MAX_N, verify_matroid
-
     if args.catalog:
-        if args.max_n > VERIFY_MAX_N:
+        if args.max_n > verify.VERIFY_MAX_N:
             raise WorkBudgetExceeded(
-                f"verify takes ground sets of at most {VERIFY_MAX_N} elements, "
+                f"verify takes ground sets of at most {verify.VERIFY_MAX_N} elements, "
                 f"and the catalog up to --max-n {args.max_n} holds larger ones"
             )
         command = f"verify --catalog --max-n {args.max_n}"
@@ -270,7 +262,7 @@ def cmd_verify(args) -> Report:
     report = Report(command, digest)
     total = 0
     for name, m in targets:
-        checks, mismatches = verify_matroid(m, name)
+        checks, mismatches = verify.verify_matroid(m, name)
         total += checks
         if mismatches:
             first = mismatches[0]
@@ -310,6 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="signed simplex decomposition of a polytope")
     p.add_argument("file")
     p.add_argument("--polytope", choices=["base", "indep", "flag"], default="base")
+    p.set_defaults(run=cmd_decompose)
 
     p = sub.add_parser("volume", help="lattice-normalized volume")
     p.add_argument("file")
@@ -318,34 +311,27 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="accepted for compatibility; has no effect on results")
     p.add_argument("--degree", action="store_true",
                    help="also print (n-1)! times the base polytope volume")
+    p.set_defaults(run=cmd_volume)
 
     p = sub.add_parser("invariants", help="rank, connectivity, Tutte and friends")
     p.add_argument("file")
+    p.set_defaults(run=cmd_invariants)
 
     p = sub.add_parser("verify", help="formula engines against the geometric oracle")
     p.add_argument("file", nargs="?")
     p.add_argument("--catalog", action="store_true")
     p.add_argument("--max-n", type=_positive_int, default=5, dest="max_n")
+    p.set_defaults(run=cmd_verify)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "degree", False) and args.polytope != "base":
+        parser.error("--degree applies to the base polytope only")
     try:
-        if args.command == "decompose":
-            m, digest = _load(args.file)
-            report = cmd_decompose(m, digest, args.polytope)
-        elif args.command == "volume":
-            if args.degree and args.polytope != "base":
-                parser.error("--degree applies to the base polytope only")
-            m, digest = _load(args.file)
-            report = cmd_volume(m, digest, args.polytope, args.degree)
-        elif args.command == "invariants":
-            m, digest = _load(args.file)
-            report = cmd_invariants(m, digest)
-        else:
-            report = cmd_verify(args)
+        report = args.run(args)
     except (MatvolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,6 +18,7 @@ import itertools
 import random
 import zlib
 from fractions import Fraction
+from functools import reduce
 from typing import Mapping, NamedTuple, Sequence
 
 from .decomposition import (
@@ -162,12 +163,15 @@ def _support_mismatches(
     return []
 
 
-def _recursion_mismatches(recursion: Fraction, formula: Fraction, name: str, check: str) -> list[Mismatch]:
-    """The pyramid recursion against the tuple formula, which is itself
-    compared with the oracle, so all three routes must agree."""
+def _volume_mismatches(formula: Fraction, geometric: Fraction | None, recursion: Fraction, name: str, check: str) -> list[Mismatch]:
+    """The tuple formula against the oracle (skipped when ``geometric`` is None),
+    then the pyramid recursion against the formula: all three routes must agree."""
+    out = []
+    if geometric is not None and formula != geometric:
+        out.append(Mismatch(name, check, f"formula {formula} vs oracle {geometric}"))
     if recursion != formula:
-        return [Mismatch(name, check, f"recursion {recursion} vs formula {formula}")]
-    return []
+        out.append(Mismatch(name, check, f"recursion {recursion} vs formula {formula}"))
+    return out
 
 
 def check_base_polytope(m: Matroid, name: str) -> list[Mismatch]:
@@ -183,9 +187,7 @@ def check_base_polytope(m: Matroid, name: str) -> list[Mismatch]:
     if is_connected(m) and m.n <= ORACLE_VOLUME_MAX_N:
         formula = volume_base_polytope(m)
         geometric = volume_exact(vertices_base(m), LatticeFrame.ROOT)
-        if formula != geometric:
-            out.append(Mismatch(name, "base-volume", f"formula {formula} vs oracle {geometric}"))
-        out += _recursion_mismatches(pyramid_volume_base(m), formula, name, "base-volume")
+        out += _volume_mismatches(formula, geometric, pyramid_volume_base(m), name, "base-volume")
     return out
 
 
@@ -198,14 +200,12 @@ def check_independent_polytope(m: Matroid, name: str) -> list[Mismatch]:
     out += _support_mismatches(d, m.rank_table, _support_directions(_seed_for(m) ^ 0x5EED, m.n), name, "indep-support", "independents")
     if m.n <= ORACLE_VOLUME_MAX_N:
         formula = volume_independent_polytope(m)
-        if m.has_loops():
-            if formula != 0:
-                out.append(Mismatch(name, "indep-volume", f"loops flatten the polytope but formula gives {formula}"))
-        else:
+        geometric = None
+        if not m.has_loops():
             geometric = volume_exact(vertices_indep(m), LatticeFrame.STANDARD)
-            if formula != geometric:
-                out.append(Mismatch(name, "indep-volume", f"formula {formula} vs oracle {geometric}"))
-        out += _recursion_mismatches(pyramid_volume_independent(m), formula, name, "indep-volume")
+        elif formula != 0:
+            out.append(Mismatch(name, "indep-volume", f"loops flatten the polytope but formula gives {formula}"))
+        out += _volume_mismatches(formula, geometric, pyramid_volume_independent(m), name, "indep-volume")
     return out
 
 
@@ -213,20 +213,14 @@ def check_flag_polytope(m: Matroid, name: str) -> list[Mismatch]:
     out = []
     d = decompose_truncation_flag(m)
     truncations = [truncate(m, i) for i in range(1, m.rank_value + 1)]
-    summed = None
-    for t in truncations:
-        piece = decompose_base_polytope(t)
-        summed = piece if summed is None else add(summed, piece)
-    if summed != d:
+    if reduce(add, (decompose_base_polytope(t) for t in truncations)) != d:
         out.append(Mismatch(name, "flag-decomposition", "gamma coefficients disagree with the truncation sum"))
     flag_table = [sum(ranks) for ranks in zip(*(t.rank_table for t in truncations))]
     out += _support_mismatches(d, flag_table, _support_directions(_seed_for(m) ^ 0xF1A6, m.n), name, "flag-support", "truncations")
     if m.n <= ORACLE_FLAG_MAX_N:
         formula = volume_truncation_flag(m)
         geometric = volume_exact(vertices_flag(m), LatticeFrame.ROOT)
-        if formula != geometric:
-            out.append(Mismatch(name, "flag-volume", f"formula {formula} vs oracle {geometric}"))
-        out += _recursion_mismatches(pyramid_volume_flag(m), formula, name, "flag-volume")
+        out += _volume_mismatches(formula, geometric, pyramid_volume_flag(m), name, "flag-volume")
     return out
 
 
@@ -237,13 +231,7 @@ def verify_matroid(m: Matroid, name: str) -> tuple[int, list[Mismatch]]:
             f"verify walks all n! coordinate orderings and takes ground sets of at most "
             f"{VERIFY_MAX_N} elements, got {m.n}"
         )
-    checks = 0
-    mismatches: list[Mismatch] = []
-    checks += 1
-    mismatches.extend(check_base_polytope(m, name))
-    checks += 1
-    mismatches.extend(check_independent_polytope(m, name))
+    checks = [check_base_polytope, check_independent_polytope]  # looked up per call: tests and bench/tracing.py rebind them
     if not m.has_loops():
-        checks += 1
-        mismatches.extend(check_flag_polytope(m, name))
-    return checks, mismatches
+        checks.append(check_flag_polytope)
+    return len(checks), [x for check in checks for x in check(m, name)]

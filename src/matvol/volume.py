@@ -35,7 +35,6 @@ from itertools import product
 from math import factorial
 from typing import Any, NamedTuple, Sequence
 
-from .bitset import subset_sort_key
 from .decomposition import (
     FAMILY_DELTA,
     SignedDecomposition,
@@ -271,12 +270,9 @@ def ordered_contributing_terms(
 
 def _tuple_support(d: SignedDecomposition) -> list[tuple[int, int]]:
     """The (contraction set, coefficient) pairs of a decomposition: each
-    summand mask's complement, sorted by cardinality then value."""
+    summand mask's complement, in no particular order."""
     full = (1 << d.n) - 1
-    return sorted(
-        ((full ^ mask, coeff) for mask, coeff in d.coeffs.items()),
-        key=lambda mc: subset_sort_key(mc[0]),
-    )
+    return [(full ^ mask, coeff) for mask, coeff in d.coeffs.items()]
 
 
 def _beta_support(m: Matroid) -> list[tuple[int, int]]:

@@ -271,6 +271,18 @@ def test_degree_flag_requires_base(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_degree_guard_comes_before_the_file_read(capsys):
+    """A --degree with another polytope is a usage error even when the file
+    is missing: the guard runs before any file is read."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["volume", "/no/such/file", "--polytope", "flag", "--degree"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert "--degree applies to the base polytope only" in captured.err
+    assert "No such file" not in captured.err
+    assert captured.out == ""
+
+
 def test_threads_below_one_rejected(tmp_path, capsys):
     path = write(tmp_path, "u23.matroid", U23_TEXT)
     for threads in ("0", "-1"):

@@ -224,3 +224,37 @@ def test_verify_reports_a_corrupted_decomposition(name, checks, monkeypatch):
             top = max(0, *w) if x.check == "indep-support" else max(w)
             assert top != 0
             assert int(found[2]) - int(found[4]) == top
+
+
+@pytest.mark.parametrize(
+    "name, check, volume",
+    [
+        ("volume_base_polytope", "base-volume", Fraction(2, 3)),
+        ("volume_independent_polytope", "indep-volume", Fraction(1, 2)),
+        ("volume_truncation_flag", "flag-volume", Fraction(23, 6)),
+    ],
+)
+def test_a_wrong_formula_volume_fails_the_oracle_then_the_recursion(name, check, volume, monkeypatch):
+    """The formula is compared with the oracle first, then the recursion with
+    the formula, so a wrong formula gives exactly two mismatches in that order."""
+    import matvol.verify as verify
+
+    monkeypatch.setattr(verify, name, lambda m: Fraction(99))
+    _, mismatches = verify_matroid(uniform(2, 4), "u24")
+    assert [(x.check, x.detail) for x in mismatches] == [
+        (check, f"formula 99 vs oracle {volume}"),
+        (check, f"recursion {volume} vs formula 99"),
+    ]
+
+
+def test_a_wrong_formula_volume_with_loops_fails_flatness_then_the_recursion(monkeypatch):
+    """Loops flatten the independent set polytope, so there is no oracle
+    volume: a nonzero formula is reported, then the recursion's 0 against it."""
+    import matvol.verify as verify
+
+    monkeypatch.setattr(verify, "volume_independent_polytope", lambda m: Fraction(99))
+    _, mismatches = verify_matroid(from_bases(3, [0b011]), "loopy")
+    assert [(x.check, x.detail) for x in mismatches] == [
+        ("indep-volume", "loops flatten the polytope but formula gives 99"),
+        ("indep-volume", "recursion 0 vs formula 99"),
+    ]
