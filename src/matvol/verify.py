@@ -8,8 +8,11 @@ volume is compared with the oracle volume and with the pyramid recursion
 where the oracle scales (ground sets up to 6, flags up to 5).  The support
 and vertex-set checks walk chains of subsets along the rank table (summed
 over the truncations for flags) and the cover table (g(S) sums c_A over the
-summands A meeting S).  The vertex-set check walks all n! orderings, so
-ground sets above ``VERIFY_MAX_N`` are refused before any check starts.
+summands A meeting S).  The support check compares the two tables first and
+draws its directions only when they differ: every direction's two sides
+differ by a walk over the difference of the tables, so equal tables pass
+them all.  The vertex-set check walks all n! orderings, so ground sets
+above ``VERIFY_MAX_N`` are refused before any check starts.
 """
 
 from __future__ import annotations
@@ -163,6 +166,18 @@ def _support_mismatches(
     return []
 
 
+def _support_check(
+    d: SignedDecomposition, optimum: Sequence[int], seed: int, name: str, check: str, source: str
+) -> list[Mismatch]:
+    """``_support_mismatches`` over ``seed``'s directions, run only when the
+    cover table and ``optimum`` differ somewhere: each direction's lhs - rhs
+    sums w_e times the increments of their difference along its chain, so
+    equal tables pass every direction and the walk would find nothing."""
+    if _cover_table(d.n, d.coeffs) == list(optimum):
+        return []
+    return _support_mismatches(d, optimum, _support_directions(seed, d.n), name, check, source)
+
+
 def _volume_mismatches(formula: Fraction, geometric: Fraction | None, recursion: Fraction, name: str, check: str) -> list[Mismatch]:
     """The tuple formula against the oracle (skipped when ``geometric`` is None),
     then the pyramid recursion against the formula: all three routes must agree."""
@@ -180,7 +195,7 @@ def check_base_polytope(m: Matroid, name: str) -> list[Mismatch]:
     via_transform = y_from_z_gp(z_from_matroid(m))
     if d != via_transform:
         out.append(Mismatch(name, "base-decomposition", "contraction coefficients disagree with the profile inversion"))
-    out += _support_mismatches(d, m.rank_table, _support_directions(_seed_for(m), m.n), name, "base-support", "bases")
+    out += _support_check(d, m.rank_table, _seed_for(m), name, "base-support", "bases")
     left, right = _signed_sum_vertex_sets(m, d)
     if left != right:
         out.append(Mismatch(name, "base-hull-identity", f"vertex sets differ: {sorted(left - right)[:3]} vs {sorted(right - left)[:3]}"))
@@ -197,7 +212,7 @@ def check_independent_polytope(m: Matroid, name: str) -> list[Mismatch]:
     via_transform = y_from_z_q(z_from_matroid_indep(m))
     if d != via_transform:
         out.append(Mismatch(name, "indep-decomposition", "contraction coefficients disagree with the profile inversion"))
-    out += _support_mismatches(d, m.rank_table, _support_directions(_seed_for(m) ^ 0x5EED, m.n), name, "indep-support", "independents")
+    out += _support_check(d, m.rank_table, _seed_for(m) ^ 0x5EED, name, "indep-support", "independents")
     if m.n <= ORACLE_VOLUME_MAX_N:
         formula = volume_independent_polytope(m)
         geometric = None
@@ -216,7 +231,7 @@ def check_flag_polytope(m: Matroid, name: str) -> list[Mismatch]:
     if reduce(add, (decompose_base_polytope(t) for t in truncations)) != d:
         out.append(Mismatch(name, "flag-decomposition", "gamma coefficients disagree with the truncation sum"))
     flag_table = [sum(ranks) for ranks in zip(*(t.rank_table for t in truncations))]
-    out += _support_mismatches(d, flag_table, _support_directions(_seed_for(m) ^ 0xF1A6, m.n), name, "flag-support", "truncations")
+    out += _support_check(d, flag_table, _seed_for(m) ^ 0xF1A6, name, "flag-support", "truncations")
     if m.n <= ORACLE_FLAG_MAX_N:
         formula = volume_truncation_flag(m)
         geometric = volume_exact(vertices_flag(m), LatticeFrame.ROOT)

@@ -12,7 +12,9 @@ a tuple contributes exactly when its sets satisfy intersection bounds
 for every choice of distinct indices.  The strict bound is the dragon
 marriage condition; the weak one says the complements admit a system of
 distinct representatives.  Enumeration runs over multisets with multinomial
-counting and prunes a branch as soon as any index subset violates its bound.
+counting and prunes a branch as soon as any index subset violates its bound;
+the last one or two slots of a tuple are summed in bulk over bitsets of the
+sets that violate nothing.
 
 The three named volumes are ``volume_signed_sum`` of the ``decompose_*``
 decompositions once one-element ground sets, components and loops are split
@@ -184,10 +186,24 @@ def signed_tuple_sum(
     collapses to a power of the remaining coefficient total, since
     unconstrained ordered tuples factorize.
 
+    States with one or two slots left are summed in bulk over bitsets of
+    support indices (bit j stands for the j-th set in the walk's order).
+    ``violators(mask, t)`` is the bitset of the sets J_j with
+    |mask cap J_j| > t, built by one scan and cached for the call; the
+    coefficients are grouped into classes of equal value, so the sum of
+    c_j over a bitset is one popcount per class.  With one slot left, the
+    sets that violate neither their own bound nor any live record's are
+    summed at once.  With two, a set taken twice must pass the bounds for
+    two more slots and contributes c^2, and a pair j1 < j2 of such sets
+    contributes 2 c1 c2 when j2 also avoids the violators of J1 and of
+    each record's intersection with J1.
+
     Coefficients are integers for the volumes and ``_SizeGraded`` for the
-    census: any type with ``+``, ``*``, ``**`` and integer multiples, where
-    ``0 + c`` and ``1 * c`` are ``c``.  ``length == 0`` gives the integer 1,
-    and a support with no valid tuple the integer 0.
+    census: any type with ``+``, ``*``, ``**``, ``==`` and integer
+    multiples, where ``0 + c`` and ``1 * c`` are ``c``.  The walk never
+    adds a coefficient to the integer 0 on its right, nor scales one by 0.
+    ``length == 0`` gives the integer 1, and a support with no valid tuple
+    the integer 0.
     """
     bound = n - 1 if strict else n
     if length == 0:
@@ -195,24 +211,89 @@ def signed_tuple_sum(
 
     ordered = sorted(support, key=lambda mc: (-mc[0].bit_count(), mc[0]))
     count = len(ordered)
+    masks = [m for m, _ in ordered]
+    coeffs = [c for _, c in ordered]
     fact = factorial(length)
     suffix_sum = [0] * (count + 1)
     suffix_maxpc = [0] * (count + 1)
     for i in range(count - 1, -1, -1):
-        suffix_sum[i] = suffix_sum[i + 1] + ordered[i][1]
-        suffix_maxpc[i] = max(suffix_maxpc[i + 1], ordered[i][0].bit_count())
+        suffix_sum[i] = suffix_sum[i + 1] + coeffs[i]
+        suffix_maxpc[i] = max(suffix_maxpc[i + 1], masks[i].bit_count())
 
+    classes: list[list] = []  # [value, bitset of the indices holding it]
+    for j, c in enumerate(coeffs):
+        for cls in classes:
+            if cls[0] == c:
+                cls[1] |= 1 << j
+                break
+        else:
+            classes.append([c, 1 << j])
+    squares = [(value * value, bits) for value, bits in classes]
+
+    def weight(bits: int, groups: Sequence) -> Any:
+        """Sum of the group values over ``bits``; None for no nonzero term."""
+        out = None
+        for value, members in groups:
+            k = (bits & members).bit_count()
+            if k:
+                out = value * k if out is None else out + value * k
+        return out
+
+    cache: dict[tuple[int, int], int] = {}
+
+    def violators(mask: int, t: int) -> int:
+        if t >= mask.bit_count():
+            return 0
+        key = (mask, t)
+        bits = cache.get(key)
+        if bits is None:
+            bits = 0
+            for j, m in enumerate(masks):
+                if (m & mask).bit_count() > t:
+                    bits |= 1 << j
+            cache[key] = bits
+        return bits
+
+    ground = (1 << n) - 1
+    everything = (1 << count) - 1
     total = 0
     stack = [(0, length, [], 1, 1)]
     while stack:
         idx, budget, entries, prod, denom = stack.pop()
-        if budget == 0:
-            total += (fact // denom) * prod
-            continue
         if idx == count:
             continue
         if not entries and suffix_maxpc[idx] + budget <= bound:
             total += fact // (denom * factorial(budget)) * prod * suffix_sum[idx] ** budget
+            continue
+        if budget <= 2:
+            banned = violators(ground, bound - 1)
+            for im, _, cnt in entries:
+                banned |= violators(im, bound - cnt - 1)
+            first = (everything >> idx << idx) & ~banned
+            if budget == 1:
+                w = weight(first, classes)
+                if w is not None:
+                    total += fact // denom * prod * w
+                continue
+            banned = violators(ground, bound - 2)
+            for im, _, cnt in entries:
+                banned |= violators(im, bound - cnt - 2)
+            acc = weight(first & ~banned, squares)
+            rest = first
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                j1 = low.bit_length() - 1
+                m1 = masks[j1]
+                banned = violators(m1, bound - 2)
+                for im, _, cnt in entries:
+                    banned |= violators(im & m1, bound - cnt - 2)
+                w = weight(rest & ~banned, classes)
+                if w is not None:
+                    w = 2 * coeffs[j1] * w
+                    acc = w if acc is None else acc + w
+            if acc is not None:
+                total += fact // (denom * 2) * prod * acc
             continue
         stack.append((idx + 1, budget, entries, prod, denom))
         m_, c_ = ordered[idx]
@@ -238,7 +319,10 @@ def signed_tuple_sum(
                     new_entries.append((im, ipc, cnt))
             if not ok:
                 break
-            stack.append((idx + 1, rest, new_entries, prod * c_**mu, denom * factorial(mu)))
+            if rest:
+                stack.append((idx + 1, rest, new_entries, prod * c_**mu, denom * factorial(mu)))
+            else:
+                total += fact // (denom * factorial(mu)) * prod * c_**mu
     return total
 
 

@@ -258,3 +258,28 @@ def test_a_wrong_formula_volume_with_loops_fails_flatness_then_the_recursion(mon
         ("indep-volume", "loops flatten the polytope but formula gives 99"),
         ("indep-volume", "recursion 0 vs formula 99"),
     ]
+
+
+def test_support_check_is_the_direction_walk_on_catalog4():
+    """Comparing the tables first changes no verdict and no message: every
+    catalog(4) decomposition, as it is and with one coefficient off by one."""
+    from matvol.catalog import full_catalog
+    from matvol.verify import _support_check, _support_directions
+
+    rng = random.Random(1717)
+    mismatched = 0
+    for entry in full_catalog(4):
+        m = entry.matroid
+        cases = [(decompose_base_polytope(m), m.rank_table), (decompose_independent_polytope(m), m.rank_table)]
+        if not m.has_loops():
+            truncations = [truncate(m, i) for i in range(1, m.rank_value + 1)]
+            cases.append((decompose_truncation_flag(m), [sum(r) for r in zip(*(t.rank_table for t in truncations))]))
+        for d, optimum in cases:
+            seed = rng.randrange(1 << 32)
+            wrong = _off_by_one(d, rng.choice([*d.coeffs, rng.randrange(1, 1 << m.n)]), rng.choice((1, -1)))
+            for case in (d, wrong):
+                walk = _support_mismatches(case, optimum, _support_directions(seed, m.n), entry.name, "c", "s")
+                assert _support_check(case, optimum, seed, entry.name, "c", "s") == walk, entry.name
+            assert _support_check(d, optimum, seed, entry.name, "c", "s") == []
+            mismatched += bool(walk)
+    assert mismatched > 0

@@ -305,3 +305,47 @@ def test_census_at_n6():
     assert len(census) == 28
     assert all(len(key) == 6 for key in census)
     assert sum(group.signed_sum for group in census.values()) == 360
+
+
+@st.composite
+def _bulk_slot_inputs(draw):
+    """Up to 8 sets on n <= 5 elements, any length 0..n, coefficients in
+    -2..2 with 0 among them: wide sets keep intersection records live down
+    to the last one or two slots, where the engine sums by bitsets."""
+    n = draw(st.integers(1, 5))
+    support = draw(st.lists(
+        st.tuples(st.integers(0, (1 << n) - 1), st.integers(-2, 2)),
+        max_size=8,
+        unique_by=lambda mc: mc[0],
+    ))
+    return n, support, draw(st.integers(0, n)), draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bulk_slot_inputs())
+def test_bulk_last_slots_against_ordered_terms_property(inputs):
+    """Integer and size-graded coefficients through the bitset sums of the
+    last two slots against the naive ordered enumeration; a zero coefficient
+    must leave no (0, 0) group behind."""
+    n, support, length, strict = inputs
+    terms = ordered_contributing_terms(support, length, n, strict)
+    assert signed_tuple_sum(support, length, n, strict) == sum(prod for _, prod in terms)
+    if length:
+        graded = [(mask, _SizeGraded({(mask.bit_count(),): (1, c)})) for mask, c in support]
+        groups = {}
+        for sets, prod in terms:
+            key = tuple(sorted(s.bit_count() for s in sets))
+            tuples, signed = groups.get(key, (0, 0))
+            groups[key] = (tuples + 1, signed + prod)
+        assert (signed_tuple_sum(graded, length, n, strict) or {}) == groups
+
+
+def test_tuple_volumes_past_the_oracle_cap_equal_the_recursion():
+    """U(4,6) indep is a weak-bound sum over 57 sets; U(3,7) flag a strict
+    one at n = 7, past the oracle's flag cap."""
+    from matvol.pyramid import pyramid_volume_flag
+
+    m = uniform(4, 6)
+    assert volume_independent_polytope(m) == pyramid_volume_independent(m) == Fraction(331, 360)
+    m = uniform(3, 7)
+    assert volume_truncation_flag(m) == pyramid_volume_flag(m) == Fraction(1727, 30)
