@@ -5,6 +5,10 @@ fraction-free row reduction with row swaps, skipping columns that have no
 pivot left.  It gives ``matrix_rank``, and ``integer_det`` for square input.
 The normal of the hyperplane through d points of Z^d is the vector of signed
 maximal minors of their difference rows, so no rational solve is needed.
+The greedy affine basis behind ``affine_rank``, the double description's
+start and the oracle's charts keeps its difference rows as a fraction-free
+echelon and reduces each new row against it: O(d) row operations per point,
+not a fresh elimination per candidate.
 
 Facet enumeration runs the double description method on the cone of valid
 inequalities: the extreme rays of {(a, b) : a.p <= b for all points p} are
@@ -17,10 +21,17 @@ Everything is integer arithmetic; rays are kept primitive by gcd division.
 Volumes are lattice-normalized: for full-dimensional integer point sets the
 normalized volume equals the Euclidean volume, computed by a recursive
 pyramid decomposition (the facet-pyramid method compared by Bueler, Enge and
-Fukuda, 2000).  Faces are point masks; facets of a facet are the maximal
-intersections.  Each facet's mask comes from one scan of the points, so the
-double description and the incidence scan run once per polytope, and the
-vertex test reads the same masks.
+Fukuda, 2000).  The recursion runs in integers on N = d! Vol: a facet
+a.x <= b (a primitive) projected along coordinate i adds
+(b - a.apex) N(F') / |a_i|, and the division is exact, because the
+projection maps the lattice points of a.x = b onto a sublattice of
+Z^(d-1) of index |a_i|.  ``normalized_volume`` divides by d! once.  Faces
+of dimension 2 are measured directly, as the shoelace sum over their
+monotone-chain hull, so no ridges are built for them.  Faces are point
+masks; facets of a facet are the maximal intersections.  Each facet's mask
+comes from one scan of the points, so the double description and the
+incidence scan run once per polytope, and the vertex test reads the same
+masks.
 
 An exhaustive hyperplane-enumeration facet finder is kept alongside as an
 independent cross-check for small inputs.
@@ -107,8 +118,7 @@ def affine_rank(points: Sequence[Sequence[int]]) -> int:
     """Dimension of the affine hull of the points."""
     if len(points) <= 1:
         return 0
-    p0 = points[0]
-    return matrix_rank([[x - y for x, y in zip(p, p0)] for p in points[1:]])
+    return len(_greedy_affine_basis(points)) - 1
 
 
 def integer_det(rows: Sequence[Sequence[int]]) -> int:
@@ -121,19 +131,31 @@ def integer_det(rows: Sequence[Sequence[int]]) -> int:
 # ---------------------------------------------------------------------------
 
 def _greedy_affine_basis(points: Sequence[Vec]) -> list[int]:
-    """Indices of an inclusion-maximal affinely independent subset."""
+    """Indices of an inclusion-maximal affinely independent subset.
+
+    Point i is taken when its difference row p_i - p_0 is independent of the
+    rows taken before it.  The taken rows are kept as a fraction-free echelon,
+    each reduced against the earlier ones and stored with its pivot column,
+    so one row operation per echelon row clears that column from a new row,
+    and the row is independent exactly when something is left.
+    """
+    p0 = points[0]
+    d = len(p0)
     chosen = [0]
-    rank = 0
+    echelon: list[tuple[int, Vec]] = []  # (pivot column, primitive row)
     for i in range(1, len(points)):
-        if rank == len(points[0]):
+        if len(echelon) == d:
             break  # the differences span R^d: no later point is independent
-        diffs = [
-            [x - y for x, y in zip(points[j], points[0])] for j in chosen[1:] + [i]
-        ]
-        r = matrix_rank(diffs)
-        if r > rank:
+        v = [x - y for x, y in zip(points[i], p0)]
+        for col, row in echelon:
+            f = v[col]
+            if f:
+                pv = row[col]
+                v = [pv * x - f * y for x, y in zip(v, row)]
+        pivot = next((col for col, x in enumerate(v) if x), None)
+        if pivot is not None:
             chosen.append(i)
-            rank = r
+            echelon.append((pivot, _primitive(v)))
     return chosen
 
 
@@ -249,11 +271,21 @@ def _hyperplane_normal(pts: Sequence[Vec]) -> Vec | None:
 
 
 def _facet_masks(points: Sequence[Vec], facets: Sequence[Facet]) -> list[MaskedFacet]:
-    """Each facet with the bitmask of the points on it (bit k: points[k])."""
-    return [
-        (a, b, sum(1 << k for k, p in enumerate(points) if _dot(a, p) == b))
-        for a, b in facets
-    ]
+    """Each facet with the bitmask of the points on it (bit k: points[k]).
+
+    The values a.p are summed a coordinate column at a time over all points,
+    skipping the zero entries of a.
+    """
+    columns = list(zip(*points))
+    bits = [1 << k for k in range(len(points))]
+    out = []
+    for a, b in facets:
+        values = [0] * len(points)
+        for x, column in zip(a, columns):
+            if x:
+                values = [v + x * c for v, c in zip(values, column)]
+        out.append((a, b, sum([bit for bit, v in zip(bits, values) if v == b])))
+    return out
 
 
 def hull_vertex_flags(points: Sequence[Vec], facets: Sequence[Facet]) -> list[bool]:
@@ -271,54 +303,91 @@ def hull_vertex_flags(points: Sequence[Vec], facets: Sequence[Facet]) -> list[bo
 # ---------------------------------------------------------------------------
 
 def normalized_volume(points: Sequence[Vec]) -> Fraction:
-    """Lattice-normalized volume of a full-dimensional integer point hull."""
+    """Lattice-normalized volume of a full-dimensional integer point hull.
+
+    Raises ValueError on a point set that is not full-dimensional: the
+    simplex test reads its determinant, the double description its basis.
+    """
     pts = sorted(set(points))
     d = len(pts[0])
     if d == 0:
         return Fraction(1)
-    if affine_rank(pts) != d:
-        raise ValueError("normalized_volume needs a full-dimensional point set")
     if len(pts) == d + 1:
-        return _simplex_volume(pts, d)
-    return _volume_rec(tuple(pts), _facet_masks(pts, dd_facets(pts)), {})
+        n = _simplex_volume(pts)
+        if n == 0:
+            raise ValueError("normalized_volume needs a full-dimensional point set")
+    else:
+        n = _volume_rec(tuple(pts), _facet_masks(pts, dd_facets(pts)), {})
+    return Fraction(n, factorial(d))
 
 
-def _simplex_volume(pts: Sequence[Vec], d: int) -> Fraction:
+def _simplex_volume(pts: Sequence[Vec]) -> int:
+    """d! times the volume of the simplex on d + 1 points of Z^d."""
     rows = [[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]
-    return Fraction(abs(integer_det(rows)), factorial(d))
+    return abs(integer_det(rows))
 
 
-def _volume_rec(pts: tuple[Vec, ...], facets: Iterable[MaskedFacet], memo: dict) -> Fraction:
-    """Volume of conv(pts) from its facets (a, b, mask), a.x <= b.
+def _planar_volume(pts: Sequence[Vec]) -> int:
+    """Twice the area of conv(pts) in Z^2.
+
+    Andrew's monotone chain: the lower chain runs left to right over the
+    sorted points and the upper chain back, each keeping only left turns;
+    together they close the hull counter-clockwise, so the shoelace sum over
+    their edges is twice the area.
+    """
+    ordered = sorted(pts)
+    total = 0
+    for run in (ordered, ordered[::-1]):
+        chain: list[Vec] = []
+        for p in run:
+            while len(chain) > 1:
+                (ax, ay), (bx, by) = chain[-2], chain[-1]
+                if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) > 0:
+                    break
+                chain.pop()
+            chain.append(p)
+        total += sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(chain, chain[1:]))
+    return total
+
+
+def _volume_rec(pts: tuple[Vec, ...], facets: Iterable[MaskedFacet], memo: dict) -> int:
+    """N = d! Vol(conv(pts)) from its facets (a, b, mask), a.x <= b.
 
     Faces are point masks (bit k: pts[k]); facets of a facet are the maximal
     intersections.  The hull is the union of the pyramids from the apex
-    pts[0] over the facets missing it.  ``facets`` is read only past the
-    shortcuts and the memo, so a face that needs none computes none.
+    pts[0] over the facets missing it, so N(P) is the sum over those facets
+    of (b - a.apex) N(F') / |a_i|, where F' is the facet projected along the
+    coordinate i of its largest |a_i|.  The division is exact: a is
+    primitive, so that projection maps the lattice points of a.x = b onto a
+    sublattice of Z^(d-1) of index |a_i|, and N(F') / |a_i| is the normalized
+    volume of F in its own lattice.  Faces of dimension 1 and 2 and simplices
+    are measured directly.  ``facets`` is read only past the shortcuts and
+    the memo, so a face that needs none computes none.
     """
     d = len(pts[0])
     if d == 1:
-        return Fraction(max(pts)[0] - min(pts)[0])
+        return max(pts)[0] - min(pts)[0]
     if len(pts) == d + 1:
-        return _simplex_volume(pts, d)
+        return _simplex_volume(pts)
+    if d == 2:
+        return _planar_volume(pts)
     key = tuple(sorted(pts))
     if key in memo:
         return memo[key]
 
     facets = list(facets)
     apex = pts[0]
-    total = Fraction(0)
+    total = 0
     for a, b, mask in facets:
         if mask & 1:
             continue  # the apex lies on this facet: a flat pyramid
         i = max(range(d), key=lambda j: abs(a[j]))
         on = [k for k in range(len(pts)) if mask >> k & 1]
         sub_pts = tuple(pts[k][:i] + pts[k][i + 1 :] for k in on)
-        sub_vol = _volume_rec(sub_pts, _facets_of_facet(facets, a, b, mask, i, on), memo)
-        total += Fraction(b - _dot(a, apex), abs(a[i])) * sub_vol
-    result = total / d
-    memo[key] = result
-    return result
+        sub = _volume_rec(sub_pts, _facets_of_facet(facets, a, b, mask, i, on), memo)
+        total += (b - _dot(a, apex)) * (sub // abs(a[i]))
+    memo[key] = total
+    return total
 
 
 def _facets_of_facet(

@@ -5,7 +5,7 @@ recomputed through the profile transforms, its support function is compared
 with the greedy optimum in random integer directions, the signed sum
 identity is checked as equality of actual vertex sets, and the formula
 volume is compared with the oracle volume and with the pyramid recursion
-where the oracle scales (ground sets up to 6, flags up to 5).  The support
+where the oracle scales (ground sets up to 7, flags up to 6).  The support
 and vertex-set checks walk chains of subsets along the rank table (summed
 over the truncations for flags) and the cover table (g(S) sums c_A over the
 summands A meeting S).  The support check compares the two tables first and
@@ -46,8 +46,8 @@ from .volume import (
     volume_truncation_flag,
 )
 
-ORACLE_VOLUME_MAX_N = 6
-ORACLE_FLAG_MAX_N = 5
+ORACLE_VOLUME_MAX_N = 7
+ORACLE_FLAG_MAX_N = 6
 VERIFY_MAX_N = 9
 """Largest ground set ``verify_matroid`` takes: the vertex-set check walks
 all n! orderings, 0.6-0.8 s for U(3, 9) on a shared 2.1 GHz Xeon vCPU under

@@ -227,3 +227,11 @@ def test_permutohedron_golden(n, facets, volume):
     v = vertices_flag(uniform(n - 1, n))
     assert len(hull_facets(v)) == 2**n - 2 == facets
     assert volume_exact(v, LatticeFrame.ROOT) == volume == n ** (n - 2)
+
+
+def test_permutohedron_golden_at_the_flag_cap():
+    # order 6, the largest permutohedron verify's flag check hulls: 62 facets
+    # and 6^4 unit simplices
+    v = vertices_flag(uniform(5, 6))
+    assert len(hull_facets(v)) == 2**6 - 2 == 62
+    assert volume_exact(v, LatticeFrame.ROOT) == 1296 == 6**4
