@@ -1,21 +1,24 @@
 """Exact convex hull machinery for integer point sets.
 
-All linear algebra is one integer elimination, ``_eliminate``: Bareiss's
-fraction-free row reduction with row swaps, skipping columns that have no
-pivot left.  It gives ``matrix_rank``, and ``integer_det`` for square input.
-The normal of the hyperplane through d points of Z^d is the vector of signed
+All row reduction is one routine, ``_echelon``: an incremental
+fraction-free Gauss-Jordan (Bareiss) elimination that takes each row
+independent of the rows before it and keeps the taken rows reduced, every
+entry a minor of the input.  ``matrix_rank`` counts the taken rows and
+``integer_det`` reads the last pivot.  The greedy affine basis behind
+``affine_rank``, the double description's start and the oracle's charts
+is the set of difference rows it takes, and the rays of the double
+description's first cone are read off the reduced rows of [R | I].  The
+normal of the hyperplane through d points of Z^d is the vector of signed
 maximal minors of their difference rows, so no rational solve is needed.
-The greedy affine basis behind ``affine_rank``, the double description's
-start and the oracle's charts keeps its difference rows as a fraction-free
-echelon and reduces each new row against it: O(d) row operations per point,
-not a fresh elimination per candidate.
 
 Facet enumeration runs the double description method on the cone of valid
 inequalities: the extreme rays of {(a, b) : a.p <= b for all points p} are
 exactly the facet inequalities of the hull (plus the trivial ray 0 <= b).
-Each ray carries its incidence set, the bitmask of processed rows it lies on,
-forward: a ray made from an adjacent pair gets the intersection of its
-parents' sets plus the new row, so no set is recomputed from the rows.
+It starts from the simplicial cone of d + 1 affinely independent points,
+whose rays are the columns of -R^-1, and cuts it by one point's row at a
+time.  Each ray carries its incidence set, the bitmask of processed rows it
+lies on, forward: a ray made from an adjacent pair gets the intersection of
+its parents' sets plus the new row, so no set is recomputed from the rows.
 Everything is integer arithmetic; rays are kept primitive by gcd division.
 
 Volumes are lattice-normalized: for full-dimensional integer point sets the
@@ -78,40 +81,48 @@ def _primitive_signed(v: Sequence[int]) -> Vec:
     return p
 
 
-def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """Fraction-free row reduction: (rank, determinant) of an integer matrix.
+def _echelon(rows: Iterable[Sequence[int]]) -> tuple[list[int], list[tuple[int, Sequence[int]]], int]:
+    """Incremental fraction-free Gauss-Jordan (Bareiss) elimination.
 
-    Bareiss elimination with row swaps; a column with no nonzero entry left
-    below the pivot rows is skipped.  After k pivots every live entry is a
-    k x k minor of the row-permuted input, so each division by the previous
-    pivot is exact.  The determinant is that of a square input, 0 otherwise.
+    Returns (taken, reduced, scale): the indices of the rows independent of
+    the rows before them, and the reduced rows as (pivot column, row) pairs,
+    each 0 in the other pivot columns and equal to ``scale`` in its own.
+    ``scale`` is the determinant of the taken rows on the pivot columns, in
+    pivot order.  A new row v becomes w = scale v - sum of v[c] e over the
+    reduced rows (c, e), which clears every pivot column at once and leaves
+    minors of the input in w; if w is nonzero, its first nonzero column p
+    is the new pivot, each e becomes (w[p] e - e[p] w) / scale (an exact
+    division) and scale becomes w[p].  Rows are read only until the
+    reduced rows span the row width.
     """
-    a = [list(row) for row in rows]
-    count = len(a)
-    width = len(a[0]) if a else 0
-    rank, sign, prev = 0, 1, 1
-    for col in range(width):
-        pivot = next((i for i in range(rank, count) if a[i][col]), None)
-        if pivot is None:
+    taken: list[int] = []
+    reduced: list[tuple[int, Sequence[int]]] = []
+    scale = 1
+    for i, v in enumerate(rows):
+        w = v if scale == 1 else [scale * x for x in v]
+        for c, e in reduced:
+            f = v[c]
+            if f:
+                w = [x - f * y for x, y in zip(w, e)]
+        if not any(w):
             continue
-        if pivot != rank:
-            a[rank], a[pivot] = a[pivot], a[rank]
-            sign = -sign
-        top = a[rank]
-        pv = top[col]
-        for i in range(rank + 1, count):
-            f = a[i][col]
-            a[i] = [(x * pv - f * y) // prev for x, y in zip(a[i], top)]
-        prev = pv
-        rank += 1
-        if rank == count:
+        p = next(c for c, x in enumerate(w) if x)
+        pv = w[p]
+        reduced = [
+            (c, e if pv == scale and not e[p] else [(pv * x - e[p] * y) // scale for x, y in zip(e, w)])
+            for c, e in reduced
+        ]
+        reduced.append((p, w))
+        taken.append(i)
+        scale = pv
+        if len(reduced) == len(w):
             break
-    return rank, sign * prev if rank == count == width else 0
+    return taken, reduced, scale
 
 
 def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix."""
-    return _eliminate(rows)[0]
+    return len(_echelon(rows)[0])
 
 
 def affine_rank(points: Sequence[Sequence[int]]) -> int:
@@ -122,8 +133,17 @@ def affine_rank(points: Sequence[Sequence[int]]) -> int:
 
 
 def integer_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix; 1 for the empty matrix."""
-    return _eliminate(rows)[1]
+    """Determinant of a square integer matrix; 1 for the empty matrix.
+
+    It is ``_echelon``'s scale times the sign of its pivot-column order, and
+    0 when some row depends on the rows before it.
+    """
+    taken, reduced, scale = _echelon(rows)
+    if len(taken) < len(rows):
+        return 0
+    pivots = [c for c, _ in reduced]
+    inversions = sum(a > b for k, a in enumerate(pivots) for b in pivots[k + 1 :])
+    return -scale if inversions % 2 else scale
 
 
 # ---------------------------------------------------------------------------
@@ -134,29 +154,25 @@ def _greedy_affine_basis(points: Sequence[Vec]) -> list[int]:
     """Indices of an inclusion-maximal affinely independent subset.
 
     Point i is taken when its difference row p_i - p_0 is independent of the
-    rows taken before it.  The taken rows are kept as a fraction-free echelon,
-    each reduced against the earlier ones and stored with its pivot column,
-    so one row operation per echelon row clears that column from a new row,
-    and the row is independent exactly when something is left.
+    rows taken before it, as ``_echelon`` of the difference rows finds.
     """
     p0 = points[0]
-    d = len(p0)
-    chosen = [0]
-    echelon: list[tuple[int, Vec]] = []  # (pivot column, primitive row)
-    for i in range(1, len(points)):
-        if len(echelon) == d:
-            break  # the differences span R^d: no later point is independent
-        v = [x - y for x, y in zip(points[i], p0)]
-        for col, row in echelon:
-            f = v[col]
-            if f:
-                pv = row[col]
-                v = [pv * x - f * y for x, y in zip(v, row)]
-        pivot = next((col for col, x in enumerate(v) if x), None)
-        if pivot is not None:
-            chosen.append(i)
-            echelon.append((pivot, _primitive(v)))
-    return chosen
+    diffs = ([x - y for x, y in zip(p, p0)] for p in points[1:])
+    return [0] + [i + 1 for i in _echelon(diffs)[0]]
+
+
+def _cone_rays(rows: Sequence[Sequence[int]]) -> list[Vec]:
+    """Primitive extreme rays of {y : R y <= 0} for an invertible square R.
+
+    They are the columns of -R^-1, so ray j lies on every row of R but row j.
+    ``_echelon`` of [R | I] leaves scale R^-1 in the last columns of its
+    reduced rows, row c of R^-1 on the reduced row with pivot c.
+    """
+    k = len(rows)
+    _, reduced, scale = _echelon([list(row) + [int(j == i) for j in range(k)] for i, row in enumerate(rows)])
+    sign = -1 if scale > 0 else 1
+    inverse = [e[k:] for _, e in sorted(reduced)]
+    return [_primitive([sign * x for x in column]) for column in zip(*inverse)]
 
 
 def dd_facets(points: Sequence[Vec]) -> list[Facet]:
@@ -177,33 +193,11 @@ def dd_facets(points: Sequence[Vec]) -> list[Facet]:
     rows = [tuple(pts[i]) + (-1,) for i in order]
 
     dim = d + 1
-    lin: list[Vec] = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
-    rays: list[Vec] = []
-    masks: list[int] = []  # bit k of masks[i]: rays[i] lies on rows[k]
+    rays = _cone_rays(rows[:dim])  # the basis rows' cone; each later row cuts it
+    masks = [((1 << dim) - 1) ^ (1 << j) for j in range(dim)]  # bit k of masks[i]: rays[i] lies on rows[k]
 
-    for idx, c in enumerate(rows):
-        bit = 1 << idx
-        pivot = next((i for i, v in enumerate(lin) if _dot(c, v) != 0), None)
-        if pivot is not None:
-            v = lin.pop(pivot)
-            dv = _dot(c, v)
-            if dv < 0:
-                v = tuple(-x for x in v)
-                dv = -dv
-            lin = [
-                _primitive_signed([dv * wx - _dot(c, w) * vx for wx, vx in zip(w, v)])
-                for w in lin
-            ]
-            # each moved ray is orthogonal to c and keeps its earlier rows, as v
-            # is orthogonal to them; -v lies on every earlier row but not on c
-            rays = [
-                _primitive([dv * rx - _dot(c, r) * vx for rx, vx in zip(r, v)])
-                for r in rays
-            ]
-            masks = [a | bit for a in masks]
-            rays.append(_primitive([-x for x in v]))
-            masks.append(bit - 1)
-            continue
+    for idx in range(dim, len(rows)):
+        c, bit = rows[idx], 1 << idx
         dots = [_dot(c, r) for r in rays]
         masks = [a | bit if x == 0 else a for a, x in zip(masks, dots)]
         if all(x <= 0 for x in dots):
@@ -211,7 +205,6 @@ def dd_facets(points: Sequence[Vec]) -> list[Facet]:
         keep = [k for k, x in enumerate(dots) if x <= 0]
         new, new_masks = [], []
         # adjacent rays share a face of codimension 2 in the pointed cone
-        least = dim - 2 - len(lin)
         for i, di in enumerate(dots):
             if di <= 0:
                 continue
@@ -219,7 +212,7 @@ def dd_facets(points: Sequence[Vec]) -> list[Facet]:
                 if dj >= 0:
                     continue
                 common = masks[i] & masks[j]
-                if common.bit_count() < least or any(
+                if common.bit_count() < dim - 2 or any(
                     k != i and k != j and common & a == common
                     for k, a in enumerate(masks)
                 ):

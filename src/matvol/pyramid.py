@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import compress
 from math import comb, factorial
 
-from .errors import DisconnectedMatroid, WorkBudgetExceeded
+from .errors import DimensionMismatch, DisconnectedMatroid, WorkBudgetExceeded
 from .matroid import Matroid, components, minor_table, restriction, splits
 
 PYRAMID_WORK_BUDGET = 1 << 26
@@ -199,10 +199,11 @@ def pyramid_volume_base(m: Matroid) -> Fraction:
     """Base polytope volume by the pyramid recursion on f = r.
 
     Same values as ``volume_base_polytope``: a disconnected matroid gives
-    the product over its components.
+    the product over its components, and the empty matroid, which has none,
+    gives 1.
     """
     normalized = pyramid_normalized_volume(m.rank_table)
-    if normalized:
+    if normalized and m.n:
         return Fraction(normalized, factorial(m.n - 1))
     result = Fraction(1)  # 0 means M splits
     for comp in components(m):
@@ -231,12 +232,15 @@ def pyramid_volume_flag(m: Matroid) -> Fraction:
     """Truncation flag polytope volume by the pyramid recursion.
 
     The flag polytope is the Minkowski sum of the base polytopes of the
-    truncations, so it is P(f) for f = sum over i <= r of min(r, i).
+    truncations, so it is P(f) for f = sum over i <= r of min(r, i).  As in
+    ``volume_truncation_flag``, loops and an empty ground set are refused.
     """
     if m.has_loops():
         raise DisconnectedMatroid(
             "flag polytope is lower-dimensional for matroids with loops"
         )
+    if not m.n:
+        raise DimensionMismatch("the flag polytope needs an ambient ground set")
     r = m.rank_value
     by_rank = bytes(sum(min(v, i) for i in range(1, r + 1)) for v in range(r + 1))
     flag = m.rank_table.translate(by_rank + bytes(256 - len(by_rank)))

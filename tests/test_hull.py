@@ -10,6 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from matvol.hull import (
+    _cone_rays,
+    _echelon,
     _greedy_affine_basis,
     _hyperplane_normal,
     affine_rank,
@@ -212,3 +214,44 @@ def test_normalized_volume_lattice_invariant_and_homogeneous(data):
     moved = [tuple(sum(r * x for r, x in zip(row, p)) + s for row, s in zip(m, shift)) for p in pts]
     assert normalized_volume(moved) == vol
     assert normalized_volume([tuple(k * x for x in p) for p in pts]) == k**d * vol
+
+
+@st.composite
+def _rows_with_repeats(draw):
+    """0-6 x 0-6 integer matrices with entries -3..3, each row drawn afresh,
+    zero, or a copy of an earlier row."""
+    cols = draw(st.integers(0, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("new", "zero", "repeat") if rows else ("new", "zero")))
+        if kind == "new":
+            rows.append(draw(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols)))
+        else:
+            rows.append([0] * cols if kind == "zero" else list(draw(st.sampled_from(rows))))
+    return rows
+
+
+@settings(max_examples=500, deadline=None)
+@given(_rows_with_repeats())
+def test_echelon_against_fraction_elimination_and_minors(rows):
+    taken, reduced, scale = _echelon(rows)
+    greedy = []
+    for i, row in enumerate(rows):  # a row is taken when it grows the rational span
+        if _fraction_rank([rows[j] for j in greedy] + [row]) > len(greedy):
+            greedy.append(i)
+    assert taken == greedy and len(reduced) == len(taken)
+    pivots = [c for c, _ in reduced]
+    for c, e in reduced:
+        assert [e[p] for p in pivots] == [scale if p == c else 0 for p in pivots]
+    for row in rows:  # scale * row = sum of row[c] e: the reduced rows span every row
+        combination = [0] * len(row)
+        for c, e in reduced:
+            combination = [x + row[c] * y for x, y in zip(combination, e)]
+        assert combination == [scale * x for x in row]
+    assert scale == _permutation_det([[rows[i][c] for c in pivots] for i in taken])
+    if rows and len(taken) == len(rows[0]):
+        basis = [rows[i] for i in taken]  # invertible and square
+        for j, ray in enumerate(_cone_rays(basis)):
+            assert gcd(*ray) == 1
+            dots = [sum(a * b for a, b in zip(row, ray)) for row in basis]
+            assert dots[j] < 0 and not any(dots[:j] + dots[j + 1 :])

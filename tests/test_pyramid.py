@@ -13,7 +13,8 @@ from math import comb, factorial
 import pytest
 
 import matvol
-from matvol.matroid import from_bases, is_connected, uniform
+from matvol.errors import DimensionMismatch
+from matvol.matroid import Graph, contract, from_bases, graphic, is_connected, uniform
 from matvol.oracle import LatticeFrame, VertexSet, vertices_base, vertices_indep, volume_exact
 from matvol.pyramid import (
     pyramid_normalized_volume,
@@ -21,6 +22,7 @@ from matvol.pyramid import (
     pyramid_volume_flag,
     pyramid_volume_independent,
 )
+from matvol.verify import verify_matroid
 from matvol.volume import (
     orbit_degree,
     volume_base_polytope,
@@ -317,3 +319,36 @@ def test_sparse_paving_closed_forms(k, n):
         if n <= 6:
             assert volume_base_polytope(m) == base, (k, n, lam)
             assert volume_independent_polytope(m) == indep, (k, n, lam)
+
+
+def minimal_matroid(k: int, n: int):
+    """T(k, n): the graphic matroid of a (k+1)-cycle with one edge replaced
+    by n - k parallel edges, the connected matroid of rank k on n elements
+    with the fewest bases."""
+    edges = [(i, i + 1) for i in range(1, k + 1)] + [(k + 1, 1)] * (n - k)
+    return graphic(Graph(k + 1, tuple(edges)))
+
+
+@pytest.mark.parametrize("k, n", [(1, 16), (5, 16), (8, 17), (12, 18), (6, 19), (4, 20), (10, 20)])
+def test_minimal_matroid_closed_form_at_the_cap(k, n):
+    """(n-1)! Vol of the base polytope of T(k, n) is C(n-2, k-1) (Ferroni
+    2022): a non-uniform closed form at the ground-set cap."""
+    m = minimal_matroid(k, n)
+    assert (m.n, m.rank_value) == (n, k)
+    assert orbit_degree(m) == (Fraction(comb(n - 2, k - 1), factorial(n - 1)), comb(n - 2, k - 1))
+
+
+def test_empty_matroid_gets_the_tuple_routes_answers():
+    """The contraction of the whole ground set is the empty matroid: one
+    empty basis, rank 0 and no loops.  Its base and independent set
+    polytopes are the point of R^0 (volume 1); its flag polytope, a sum of
+    no truncations, is refused by both routes; verify runs the other two
+    checks."""
+    m = contract(uniform(2, 3), uniform(2, 3).full_mask)
+    assert (m.n, m.rank_value, m.has_loops()) == (0, 0, False)
+    assert pyramid_volume_base(m) == volume_base_polytope(m) == 1
+    assert pyramid_volume_independent(m) == volume_independent_polytope(m) == 1
+    for route in (pyramid_volume_flag, volume_truncation_flag):
+        with pytest.raises(DimensionMismatch):
+            route(m)
+    assert verify_matroid(m, "empty") == (2, [])
