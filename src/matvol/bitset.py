@@ -47,6 +47,19 @@ def popcounts(n: int) -> list[int]:
     return out
 
 
+def lacking_masks(n: int) -> list[int]:
+    """For each element e of [n] (0-based), the 2^n-bit int whose bit T is
+    set for every subset T without e: blocks of 2^e ones and 2^e zeros,
+    doubled out to 2^n bits."""
+    out = []
+    for e in range(n):
+        bits, span = (1 << (1 << e)) - 1, 2 << e
+        while span < 1 << n:
+            bits, span = bits | bits << span, span << 1
+        out.append(bits)
+    return out
+
+
 def fold_subsets(
     values: Iterable[int] | bytes, n: int, op: Callable[[int, int], int], upward: bool = True
 ) -> list[int]:

@@ -31,7 +31,7 @@ from itertools import combinations
 from operator import add
 from typing import Iterable, NamedTuple
 
-from .bitset import elements_of, mask_of, subset_sort_key
+from .bitset import elements_of, lacking_masks, mask_of, subset_sort_key
 from .errors import (
     EmptyBasisFamily,
     ExchangeAxiomViolation,
@@ -46,20 +46,6 @@ MAX_GROUND_SET = 20
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 _BYTE_VALUES = bytes(range(256))  # the identity for bytes.translate
-
-
-def _element_masks(n: int) -> list[int]:
-    """For each element e, the 2^n-bit int whose set bits are the masks holding e."""
-    size = 1 << n
-    out = []
-    for e in range(n):
-        width = 2 << e
-        h = ((1 << (1 << e)) - 1) << (1 << e)  # one period: 2^e clear bits, 2^e set
-        while width < size:
-            h |= h << width
-            width <<= 1
-        out.append(h)
-    return out
 
 
 def _size_masks(n: int, r: int) -> list[int]:
@@ -156,15 +142,15 @@ class Matroid:
         for b in self.bases:
             bits[b >> 3] |= 1 << (b & 7)
         independent = int.from_bytes(bits, "little")
-        holding = _element_masks(self.n)
-        for e, h in enumerate(holding):
-            independent |= (independent & h) >> (1 << e)
+        lacking = lacking_masks(self.n)
+        for e, lack in enumerate(lacking):
+            independent |= (independent >> (1 << e)) & lack
         total = 0
         spread = f"0{size}b"
         for size_k in _size_masks(self.n, self.rank_value)[1:]:
             level = independent & size_k
-            for e, h in enumerate(holding):
-                level |= (level & ~h) << (1 << e)
+            for e, lack in enumerate(lacking):
+                level |= (level & lack) << (1 << e)
             total += int.from_bytes(format(level, spread).encode().translate(_BIT_BYTES), "big")
         return total.to_bytes(size, "big")[::-1]
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from math import comb, factorial
+from typing import Callable
 
 from .errors import DimensionMismatch, DisconnectedMatroid, WorkBudgetExceeded
 from .matroid import Matroid, components, minor_table, restriction, splits
@@ -146,8 +147,9 @@ def pyramid_normalized_volume(table: bytes) -> int:
         N(G) = sum over S of h_S * C(k - 2, |S| - 1) * N(g|S) * N(g/S)
 
     with h_S = g(S) - v(S).  The minors' tables are memo keys, so minors
-    that agree after relabeling are computed once; only connected minors are
-    memoized.  Raises ``WorkBudgetExceeded`` past ``PYRAMID_WORK_BUDGET``.
+    that agree after relabeling are computed once; a minor that splits is
+    memoized as 0, so each minor's split test runs once too.  Raises
+    ``WorkBudgetExceeded`` past ``PYRAMID_WORK_BUDGET``.
     """
     if len(table) <= 8:
         return _small_volume(table, len(table) - 1, 0)
@@ -174,9 +176,7 @@ def pyramid_normalized_volume(table: bytes) -> int:
         charge(len(minor))
         found = memo.get(minor)
         if found is None:
-            if splits(minor):
-                return 0
-            found = memo[minor] = expand(minor)
+            found = memo[minor] = 0 if splits(minor) else expand(minor)
         return found
 
     def expand(t: bytes) -> int:
@@ -195,20 +195,37 @@ def pyramid_normalized_volume(table: bytes) -> int:
     return expand(table)
 
 
+def component_product(m: Matroid, volume: Callable[[Matroid], Fraction]) -> Fraction:
+    """The product of ``volume`` over the components of M, the volume of a
+    disconnected M for both the tuple routes and the recursion: its
+    polytopes are products of its components' polytopes.  The empty matroid,
+    which has no components, gives 1."""
+    result = Fraction(1)
+    for comp in components(m):
+        result *= volume(restriction(m, comp))
+    return result
+
+
+def refuse_flag(m: Matroid) -> None:
+    """Raise unless M has a flag polytope to measure, for the tuple routes and
+    the recursion alike: loops make it lower-dimensional, and the empty
+    ground set has no truncations to sum."""
+    if m.has_loops():
+        raise DisconnectedMatroid("flag polytope is lower-dimensional for matroids with loops")
+    if not m.n:
+        raise DimensionMismatch("the flag polytope needs an ambient ground set")
+
+
 def pyramid_volume_base(m: Matroid) -> Fraction:
     """Base polytope volume by the pyramid recursion on f = r.
 
     Same values as ``volume_base_polytope``: a disconnected matroid gives
-    the product over its components, and the empty matroid, which has none,
-    gives 1.
+    the product over its components.
     """
     normalized = pyramid_normalized_volume(m.rank_table)
     if normalized and m.n:
         return Fraction(normalized, factorial(m.n - 1))
-    result = Fraction(1)  # 0 means M splits
-    for comp in components(m):
-        result *= pyramid_volume_base(restriction(m, comp))
-    return result
+    return component_product(m, pyramid_volume_base)  # 0 means M splits
 
 
 def pyramid_volume_independent(m: Matroid) -> Fraction:
@@ -232,15 +249,10 @@ def pyramid_volume_flag(m: Matroid) -> Fraction:
     """Truncation flag polytope volume by the pyramid recursion.
 
     The flag polytope is the Minkowski sum of the base polytopes of the
-    truncations, so it is P(f) for f = sum over i <= r of min(r, i).  As in
-    ``volume_truncation_flag``, loops and an empty ground set are refused.
+    truncations, so it is P(f) for f = sum over i <= r of min(r, i).
+    ``refuse_flag`` decides which matroids have none.
     """
-    if m.has_loops():
-        raise DisconnectedMatroid(
-            "flag polytope is lower-dimensional for matroids with loops"
-        )
-    if not m.n:
-        raise DimensionMismatch("the flag polytope needs an ambient ground set")
+    refuse_flag(m)
     r = m.rank_value
     by_rank = bytes(sum(min(v, i) for i in range(1, r + 1)) for v in range(r + 1))
     flag = m.rank_table.translate(by_rank + bytes(256 - len(by_rank)))

@@ -20,7 +20,9 @@ family of the partial tuple's transversal matroid, as a bitset over the
 
 The three named volumes are ``volume_signed_sum`` of the ``decompose_*``
 decompositions once one-element ground sets, components and loops are split
-off; the base volume sums whichever of M and its dual has fewer summands.
+off, the last two by ``pyramid``'s ``component_product`` and ``refuse_flag``,
+which the recursion shares; the base volume sums whichever of M and its dual
+has fewer summands.
 ``independent_volume_census`` is the same sum over size-graded coefficients,
 which group the ordered tuples by the sorted sizes of their sets.
 
@@ -39,6 +41,7 @@ from itertools import product
 from math import factorial
 from typing import Any, NamedTuple, Sequence
 
+from .bitset import lacking_masks as _lacks
 from .decomposition import (
     FAMILY_DELTA,
     SignedDecomposition,
@@ -47,8 +50,8 @@ from .decomposition import (
     decompose_truncation_flag,
 )
 from .errors import DimensionMismatch, DisconnectedMatroid, WorkBudgetExceeded
-from .matroid import Matroid, components, dual, is_connected, restriction
-from .pyramid import orbit_degree  # noqa: F401 -- re-exported for callers that import it from here
+from .matroid import Matroid, dual, is_connected
+from .pyramid import component_product, orbit_degree, refuse_flag  # noqa: F401 -- orbit_degree is re-exported for callers that import it from here
 
 
 # ---------------------------------------------------------------------------
@@ -172,18 +175,6 @@ class _SizeGraded(dict):
                 t0, s0 = out.get(key, (0, 0))
                 out[key] = (t0 + t1 * t2, s0 + s1 * s2)
         return out
-
-
-def _lacks(n: int) -> list[int]:
-    """Bit T of ``lacks[e]`` is set for every subset T of [n] without e:
-    blocks of 2^e ones and 2^e zeros, doubled out to 2^n bits."""
-    out = []
-    for e in range(n):
-        bits, span = (1 << (1 << e)) - 1, 2 << e
-        while span < 1 << n:
-            bits, span = bits | bits << span, span << 1
-        out.append(bits)
-    return out
 
 
 def signed_tuple_sum(
@@ -325,10 +316,7 @@ def volume_base_polytope(m: Matroid, threads: int = 1) -> Fraction:
     if m.n == 1:
         return Fraction(1)  # a single point either way
     if not is_connected(m):
-        result = Fraction(1)
-        for comp in components(m):
-            result *= volume_base_polytope(restriction(m, comp))
-        return result
+        return component_product(m, volume_base_polytope)
     d = decompose_base_polytope(m)
     dual_d = decompose_base_polytope(dual(m))
     return volume_signed_sum(dual_d if len(dual_d.coeffs) < len(d.coeffs) else d)
@@ -343,10 +331,7 @@ def volume_independent_polytope(m: Matroid, threads: int = 1) -> Fraction:
     if m.n == 1:
         return Fraction(m.rank_value)  # unit segment for a coloop, point for a loop
     if not is_connected(m):
-        result = Fraction(1)
-        for comp in components(m):
-            result *= volume_independent_polytope(restriction(m, comp))
-        return result
+        return component_product(m, volume_independent_polytope)
     return volume_signed_sum(decompose_independent_polytope(m))
 
 
@@ -355,14 +340,9 @@ def volume_truncation_flag(m: Matroid, threads: int = 1) -> Fraction:
 
     The expansion needs the flag polytope to be full-dimensional in its
     hyperplane, which holds exactly when M has no loops (the rank-1
-    truncation is then the full simplex).
+    truncation is then the full simplex); ``refuse_flag`` refuses the rest.
     """
-    if m.has_loops():
-        raise DisconnectedMatroid(
-            "flag polytope is lower-dimensional for matroids with loops"
-        )
-    if m.n == 1:
-        return Fraction(1)
+    refuse_flag(m)
     return volume_signed_sum(decompose_truncation_flag(m))
 
 
@@ -379,9 +359,6 @@ def independent_volume_census(m: Matroid) -> dict[tuple[int, ...], TermGroup]:
 
 def flag_volume_ordered_terms(m: Matroid) -> list[tuple[tuple[int, ...], int]]:
     """Every ordered tuple contributing to the flag volume, with its product."""
-    if m.has_loops():
-        raise DisconnectedMatroid(
-            "flag polytope is lower-dimensional for matroids with loops"
-        )
+    refuse_flag(m)
     support = _tuple_support(decompose_truncation_flag(m))
     return ordered_contributing_terms(support, m.n - 1, m.n, strict=True)

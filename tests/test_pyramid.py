@@ -13,8 +13,8 @@ from math import comb, factorial
 import pytest
 
 import matvol
-from matvol.errors import DimensionMismatch
-from matvol.matroid import Graph, contract, from_bases, graphic, is_connected, uniform
+from matvol.errors import DimensionMismatch, MatvolError
+from matvol.matroid import Graph, contract, direct_sum, from_bases, graphic, is_connected, uniform
 from matvol.oracle import LatticeFrame, VertexSet, vertices_base, vertices_indep, volume_exact
 from matvol.pyramid import (
     pyramid_normalized_volume,
@@ -24,6 +24,7 @@ from matvol.pyramid import (
 )
 from matvol.verify import verify_matroid
 from matvol.volume import (
+    flag_volume_ordered_terms,
     orbit_degree,
     volume_base_polytope,
     volume_independent_polytope,
@@ -352,3 +353,19 @@ def test_empty_matroid_gets_the_tuple_routes_answers():
         with pytest.raises(DimensionMismatch):
             route(m)
     assert verify_matroid(m, "empty") == (2, [])
+
+
+@pytest.mark.parametrize(
+    "m",
+    [contract(uniform(2, 3), 0b111), uniform(0, 1), uniform(0, 2), direct_sum(uniform(1, 1), uniform(0, 1))],
+    ids=["empty", "U(0,1)", "U(0,2)", "U(1,1)+U(0,1)"],
+)
+def test_flag_entry_points_refuse_alike(m):
+    """The tuple formula, its term list and the recursion refuse a matroid
+    without a full-dimensional flag polytope with the same typed error."""
+    raised = set()
+    for route in (volume_truncation_flag, flag_volume_ordered_terms, pyramid_volume_flag):
+        with pytest.raises(MatvolError) as info:
+            route(m)
+        raised.add(type(info.value))
+    assert len(raised) == 1, raised

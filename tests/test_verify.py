@@ -194,6 +194,30 @@ def test_vertex_sets_are_the_greedy_ones(catalog5):
             assert left != right, entry.name
 
 
+def test_passing_base_checks_walk_no_orderings(catalog5, monkeypatch):
+    """Equal rank and cover tables decide the base hull identity, so a
+    passing verify walks no orderings; a corrupted base decomposition still
+    walks them and is reported by the support and vertex-set checks."""
+    import matvol.verify as verify
+
+    calls = []
+    walk = verify._signed_sum_vertex_sets
+
+    def counting(m, d):
+        calls.append(m)
+        return walk(m, d)
+
+    monkeypatch.setattr(verify, "_signed_sum_vertex_sets", counting)
+    for entry in catalog5:
+        assert verify_matroid(entry.matroid, entry.name)[1] == [], entry.name
+    assert calls == []
+    decompose = verify.decompose_base_polytope
+    monkeypatch.setattr(verify, "decompose_base_polytope", lambda m: _off_by_one(decompose(m), m.full_mask, 1))
+    found = [x.check for x in verify.check_base_polytope(uniform(2, 4), "u24")]
+    assert found == ["base-decomposition", "base-support", "base-hull-identity"]
+    assert calls == [uniform(2, 4)]
+
+
 _SUPPORT_DETAIL = re.compile(r"direction \[(.*)\]: decomposition gives (-?\d+), (\w+) give (-?\d+)")
 
 
