@@ -19,7 +19,11 @@ whose rays are the columns of -R^-1, and cuts it by one point's row at a
 time.  Each ray carries its incidence set, the bitmask of processed rows it
 lies on, forward: a ray made from an adjacent pair gets the intersection of
 its parents' sets plus the new row, so no set is recomputed from the rows.
-Everything is integer arithmetic; rays are kept primitive by gcd division.
+A row makes one pass over its dot products, sorting the rays into positive,
+negative and zero and building the kept lists; pairs run over positive x
+negative only, and a pair is adjacent when no third set contains its common
+set (the test counts the owners and stops at the third).  Everything is
+integer arithmetic; rays are kept primitive by gcd division.
 
 Volumes are lattice-normalized: for full-dimensional integer point sets the
 normalized volume equals the Euclidean volume, computed by a recursive
@@ -31,10 +35,10 @@ projection maps the lattice points of a.x = b onto a sublattice of
 Z^(d-1) of index |a_i|.  ``normalized_volume`` divides by d! once.  Faces
 of dimension 2 are measured directly, as the shoelace sum over their
 monotone-chain hull, so no ridges are built for them.  Faces are point
-masks; facets of a facet are the maximal intersections.  Each facet's mask
-comes from one scan of the points, so the double description and the
-incidence scan run once per polytope, and the vertex test reads the same
-masks.
+masks, walked bit by bit; facets of a facet are the maximal intersections
+of at least d - 1 points.  Each facet's mask comes from one scan of the
+points, so the double description and the incidence scan run once per
+polytope, and the vertex test reads the same masks.
 
 An exhaustive hyperplane-enumeration facet finder is kept alongside as an
 independent cross-check for small inputs.
@@ -182,6 +186,8 @@ def dd_facets(points: Sequence[Vec]) -> list[Facet]:
     is not full-dimensional in its ambient space.
     """
     pts = sorted(set(points))
+    if not pts:
+        raise ValueError("dd_facets needs a full-dimensional point set")
     d = len(pts[0])
     if d == 0:
         return []
@@ -189,7 +195,7 @@ def dd_facets(points: Sequence[Vec]) -> list[Facet]:
     if len(basis) != d + 1:
         raise ValueError("dd_facets needs a full-dimensional point set")
 
-    order = basis + [i for i in range(len(pts)) if i not in set(basis)]
+    order = basis + sorted(set(range(len(pts))) - set(basis))
     rows = [tuple(pts[i]) + (-1,) for i in order]
 
     dim = d + 1
@@ -198,29 +204,32 @@ def dd_facets(points: Sequence[Vec]) -> list[Facet]:
 
     for idx in range(dim, len(rows)):
         c, bit = rows[idx], 1 << idx
-        dots = [_dot(c, r) for r in rays]
-        masks = [a | bit if x == 0 else a for a, x in zip(masks, dots)]
-        if all(x <= 0 for x in dots):
-            continue
-        keep = [k for k, x in enumerate(dots) if x <= 0]
-        new, new_masks = [], []
-        # adjacent rays share a face of codimension 2 in the pointed cone
-        for i, di in enumerate(dots):
-            if di <= 0:
+        positive, negative, kept, kept_masks = [], [], [], []
+        for r, a in zip(rays, masks):
+            x = sum(map(mul, c, r))
+            if x > 0:
+                positive.append((x, r, a))
                 continue
-            for j, dj in enumerate(dots):
-                if dj >= 0:
+            if x < 0:
+                negative.append((x, r, a))
+            kept.append(r)
+            kept_masks.append(a if x else a | bit)
+        # adjacent rays share a face of codimension 2 in the pointed cone
+        for di, ri, ai in positive:
+            for dj, rj, aj in negative:
+                common = ai & aj
+                if common.bit_count() < dim - 2:
                     continue
-                common = masks[i] & masks[j]
-                if common.bit_count() < dim - 2 or any(
-                    k != i and k != j and common & a == common
-                    for k, a in enumerate(masks)
-                ):
-                    continue
-                new.append(_primitive([di * y - dj * x for x, y in zip(rays[i], rays[j])]))
-                new_masks.append(common | bit)
-        rays = [rays[k] for k in keep] + new
-        masks = [masks[k] for k in keep] + new_masks
+                owners = 0
+                for a in masks:
+                    if common & a == common:
+                        owners += 1
+                        if owners > 2:
+                            break
+                else:
+                    kept.append(_primitive([di * y - dj * x for x, y in zip(ri, rj)]))
+                    kept_masks.append(common | bit)
+        rays, masks = kept, kept_masks
 
     return sorted({(r[:-1], r[-1]) for r in rays if any(r[:-1])})
 
@@ -302,6 +311,8 @@ def normalized_volume(points: Sequence[Vec]) -> Fraction:
     simplex test reads its determinant, the double description its basis.
     """
     pts = sorted(set(points))
+    if not pts:
+        raise ValueError("normalized_volume needs a full-dimensional point set")
     d = len(pts[0])
     if d == 0:
         return Fraction(1)
@@ -360,10 +371,10 @@ def _volume_rec(pts: tuple[Vec, ...], facets: Iterable[MaskedFacet], memo: dict)
     d = len(pts[0])
     if d == 1:
         return max(pts)[0] - min(pts)[0]
-    if len(pts) == d + 1:
-        return _simplex_volume(pts)
     if d == 2:
         return _planar_volume(pts)
+    if len(pts) == d + 1:
+        return _simplex_volume(pts)
     key = tuple(sorted(pts))
     if key in memo:
         return memo[key]
@@ -375,7 +386,7 @@ def _volume_rec(pts: tuple[Vec, ...], facets: Iterable[MaskedFacet], memo: dict)
         if mask & 1:
             continue  # the apex lies on this facet: a flat pyramid
         i = max(range(d), key=lambda j: abs(a[j]))
-        on = [k for k in range(len(pts)) if mask >> k & 1]
+        on = _set_bits(mask)
         sub_pts = tuple(pts[k][:i] + pts[k][i + 1 :] for k in on)
         sub = _volume_rec(sub_pts, _facets_of_facet(facets, a, b, mask, i, on), memo)
         total += (b - _dot(a, apex)) * (sub // abs(a[i]))
@@ -390,17 +401,30 @@ def _facets_of_facet(
 
     They are the inclusion-maximal intersections mask & G over the other
     facets G: a proper face lies in some ridge, and a ridge in exactly two
-    facets.  Each keeps G's inequality restricted to a.x = b, and its mask
-    is renumbered over the facet's points ``on``.
+    facets.  A ridge spans d - 2 dimensions, so a meet of fewer than d - 1
+    points lies in a ridge and is dropped before the sort.  Each ridge keeps
+    G's inequality restricted to a.x = b, its mask renumbered over ``on``.
     """
-    meets = [(mask & other, c, e) for c, e, other in facets if other != mask]
+    least = len(a) - 1
+    meets = [(m, c, e) for c, e, other in facets if other != mask and (m := mask & other).bit_count() >= least]
     ridges: list[tuple[int, Vec, int]] = []
     for common, c, e in sorted(meets, key=lambda t: -t[0].bit_count()):
         if all(common & r != common for r, _, _ in ridges):
             ridges.append((common, c, e))
+    position = {k: 1 << j for j, k in enumerate(on)}
     for r, c, e in ridges:
-        sub_mask = sum(1 << j for j, k in enumerate(on) if r >> k & 1)
+        sub_mask = sum([position[k] for k in _set_bits(r)])
         yield (*_project_inequality(c, e, a, b, i), sub_mask)
+
+
+def _set_bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _project_inequality(c: Vec, e: int, a: Vec, b: int, i: int) -> Facet:

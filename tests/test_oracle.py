@@ -235,3 +235,27 @@ def test_permutohedron_golden_at_the_flag_cap():
     v = vertices_flag(uniform(5, 6))
     assert len(hull_facets(v)) == 2**6 - 2 == 62
     assert volume_exact(v, LatticeFrame.ROOT) == 1296 == 6**4
+
+
+def test_dd_matches_exhaustive_on_catalog4_oracle_sets():
+    # the point sets the oracle hulls are degenerate (0/1 vertices and flag
+    # sums with many points on each facet), unlike random grids
+    from matvol.catalog import full_catalog
+    from matvol.hull import affine_rank
+
+    sets = []
+    for entry in full_catalog(4):
+        m = entry.matroid
+        for v, drop_last in ((vertices_base(m), True), (vertices_indep(m), False), (vertices_flag(m), True)):
+            pts = [p[:-1] for p in v.points] if drop_last else list(v.points)
+            if pts[0] and affine_rank(pts) == len(pts[0]):
+                sets.append(pts)
+    assert len(sets) == 51
+    for pts in sets:
+        assert dd_facets(pts) == exhaustive_facets(pts), pts
+
+
+@pytest.mark.parametrize("hull_routine", [dd_facets, normalized_volume])
+def test_empty_point_set_is_refused_as_not_full_dimensional(hull_routine):
+    with pytest.raises(ValueError, match="full-dimensional"):
+        hull_routine([])
