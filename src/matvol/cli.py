@@ -233,8 +233,9 @@ def cmd_invariants(args) -> Report:
     report.lines.append(f"connected = {'true' if is_connected(m) else 'false'}")
     for (i, j), c in sorted(t.coeffs):
         report.lines.append(f"tutte b[{i},{j}] = {c}")
-    report.lines.append(f"beta = {invariants.beta(m)}")
-    report.lines.append(f"signed_beta = {invariants.signed_beta(m)}")
+    b = t.coefficient(1, 0)  # Crapo's beta, b10 of the expansion
+    report.lines.append(f"beta = {b}")
+    report.lines.append(f"signed_beta = {-b if m.rank_value % 2 == 0 else b}")
     g = t.gamma()
     report.lines.append(f"gamma = {g}")
     report.lines.append(f"signed_gamma = {g if m.rank_value % 2 == 0 else -g}")
@@ -245,17 +246,22 @@ def cmd_invariants(args) -> Report:
 
 def cmd_verify(args) -> Report:
     if args.catalog:
-        if args.max_n > verify.VERIFY_MAX_N:
+        if args.file is not None:
+            raise ParseError("verify takes a matroid file or --catalog, not both")
+        max_n = args.max_n or 5
+        if max_n > verify.VERIFY_MAX_N:
             raise WorkBudgetExceeded(
                 f"verify takes ground sets of at most {verify.VERIFY_MAX_N} elements, "
-                f"and the catalog up to --max-n {args.max_n} holds larger ones"
+                f"and the catalog up to --max-n {max_n} holds larger ones"
             )
-        command = f"verify --catalog --max-n {args.max_n}"
-        targets = [(e.name, e.matroid) for e in full_catalog(args.max_n)]
+        command = f"verify --catalog --max-n {max_n}"
+        targets = [(e.name, e.matroid) for e in full_catalog(max_n)]
         digest = None
     else:
         if args.file is None:
             raise ParseError("verify needs a matroid file unless --catalog is given")
+        if args.max_n is not None:
+            raise ParseError("--max-n applies to --catalog only")
         m, digest = _load(args.file)
         command = "verify"
         targets = [("input", m)]
@@ -320,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="formula engines against the geometric oracle")
     p.add_argument("file", nargs="?")
     p.add_argument("--catalog", action="store_true")
-    p.add_argument("--max-n", type=_positive_int, default=5, dest="max_n")
+    p.add_argument("--max-n", type=_positive_int, dest="max_n", help="with --catalog; default 5")
     p.set_defaults(run=cmd_verify)
     return parser
 

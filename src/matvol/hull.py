@@ -32,13 +32,16 @@ Fukuda, 2000).  The recursion runs in integers on N = d! Vol: a facet
 a.x <= b (a primitive) projected along coordinate i adds
 (b - a.apex) N(F') / |a_i|, and the division is exact, because the
 projection maps the lattice points of a.x = b onto a sublattice of
-Z^(d-1) of index |a_i|.  ``normalized_volume`` divides by d! once.  Faces
-of dimension 2 are measured directly, as the shoelace sum over their
-monotone-chain hull, so no ridges are built for them.  Faces are point
-masks, walked bit by bit; facets of a facet are the maximal intersections
-of at least d - 1 points.  Each facet's mask comes from one scan of the
-points, so the double description and the incidence scan run once per
-polytope, and the vertex test reads the same masks.
+Z^(d-1) of index |a_i|.  ``normalized_volume`` is the recursion's first
+call and divides by d! once.  Faces of dimension 2 are measured directly,
+as the shoelace sum over their monotone-chain hull, so no ridges are built
+for them.  Faces are point masks, walked bit by bit; facets of a facet are
+the maximal intersections of at least d - 1 points.  Each face's facets,
+the hull's own included, are computed only when the recursion reads them,
+so a face that needs none (dimension at most 2, a simplex, a memo hit)
+computes none.  Each facet's mask comes from one scan of the points, so the
+double description and the incidence scan run at most once per polytope,
+and the vertex test reads the same masks.
 
 An exhaustive hyperplane-enumeration facet finder is kept alongside as an
 independent cross-check for small inputs.
@@ -307,28 +310,20 @@ def hull_vertex_flags(points: Sequence[Vec], facets: Sequence[Facet]) -> list[bo
 def normalized_volume(points: Sequence[Vec]) -> Fraction:
     """Lattice-normalized volume of a full-dimensional integer point hull.
 
-    Raises ValueError on a point set that is not full-dimensional: the
-    simplex test reads its determinant, the double description its basis.
+    It is the first call of ``_volume_rec``, whose facets are a generator
+    that runs the double description when first read, so a hull that needs
+    no facets (d <= 2, a simplex) computes none.  A result of 0 raises
+    ValueError: the point set is not full-dimensional.  A lower-dimensional
+    set of d >= 3 that is not a simplex raises from ``dd_facets`` instead.
     """
-    pts = sorted(set(points))
-    if not pts:
-        raise ValueError("normalized_volume needs a full-dimensional point set")
-    d = len(pts[0])
-    if d == 0:
+    pts = tuple(sorted(set(points)))
+    if pts and not pts[0]:
         return Fraction(1)
-    if len(pts) == d + 1:
-        n = _simplex_volume(pts)
-        if n == 0:
-            raise ValueError("normalized_volume needs a full-dimensional point set")
-    else:
-        n = _volume_rec(tuple(pts), _facet_masks(pts, dd_facets(pts)), {})
-    return Fraction(n, factorial(d))
-
-
-def _simplex_volume(pts: Sequence[Vec]) -> int:
-    """d! times the volume of the simplex on d + 1 points of Z^d."""
-    rows = [[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]
-    return abs(integer_det(rows))
+    facets = (f for p in (pts,) for f in _facet_masks(p, dd_facets(p)))  # runs when first read
+    n = _volume_rec(pts, facets, {}) if pts else 0
+    if not n:
+        raise ValueError("normalized_volume needs a full-dimensional point set")
+    return Fraction(n, factorial(len(pts[0])))
 
 
 def _planar_volume(pts: Sequence[Vec]) -> int:
@@ -365,8 +360,9 @@ def _volume_rec(pts: tuple[Vec, ...], facets: Iterable[MaskedFacet], memo: dict)
     primitive, so that projection maps the lattice points of a.x = b onto a
     sublattice of Z^(d-1) of index |a_i|, and N(F') / |a_i| is the normalized
     volume of F in its own lattice.  Faces of dimension 1 and 2 and simplices
-    are measured directly.  ``facets`` is read only past the shortcuts and
-    the memo, so a face that needs none computes none.
+    are measured directly, a degenerate one as 0.  ``facets`` is read only
+    past the shortcuts and the memo, so a face that needs none computes
+    none, the hull itself included.
     """
     d = len(pts[0])
     if d == 1:
@@ -374,7 +370,7 @@ def _volume_rec(pts: tuple[Vec, ...], facets: Iterable[MaskedFacet], memo: dict)
     if d == 2:
         return _planar_volume(pts)
     if len(pts) == d + 1:
-        return _simplex_volume(pts)
+        return abs(integer_det([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]))
     key = tuple(sorted(pts))
     if key in memo:
         return memo[key]

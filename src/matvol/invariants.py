@@ -2,10 +2,10 @@
 
 All of them read the matroid's rank table.  The Tutte polynomial is the
 corank-nullity expansion over all 2^n subsets with exact integer binomials,
-expanded once per distinct (corank, nullity) pair; beta comes straight from
-its alternating-sum definition so that one-element ground sets behave
-correctly.  The whole-table variants compute the signed invariant of every
-contraction M/A at once with a single alternating superset transform, which
+expanded once per distinct (corank, nullity) pair.  Beta keeps its
+alternating-sum definition, the reference for b10 (``matvol invariants``
+prints b10 as beta).  The whole-table variants give the signed invariant of
+every contraction M/A at once by one alternating superset transform, which
 is what the decomposition and volume engines iterate over.
 """
 

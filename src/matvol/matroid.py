@@ -27,7 +27,7 @@ reads.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress
 from operator import add
 from typing import Iterable, NamedTuple
 
@@ -425,4 +425,4 @@ def coconnected_flats(m: Matroid) -> list[int]:
     they are found: one superset transform instead of 2^n contractions.
     """
     table = signed_beta_contractions(m)  # zero at A = E
-    return sorted((a for a, v in enumerate(table) if v), key=subset_sort_key)
+    return sorted(compress(range(len(table)), table), key=subset_sort_key)

@@ -177,9 +177,9 @@ def hull_facets(v: VertexSet) -> list[Facet]:
     each facet has a single canonical form with minimum entry 0.
     """
     if v.affine_dim == 0:
-        raise DegenerateInput("hull of a single point has no facets")
+        raise DegenerateInput("a hull of at most one point has no facets")
     if v.affine_dim == v.n:
-        return sorted(dd_facets(v.points))
+        return dd_facets(v.points)
     chart = _AffineChart(v.points)
     pulled = [chart.pull_back(a, b) for a, b in dd_facets(chart.integer_coords(v.points))]
     return _canonicalize_fixed_sum(pulled, v.points)
@@ -215,8 +215,6 @@ def volume_exact(v: VertexSet, frame: LatticeFrame) -> Fraction:
             raise DimensionMismatch(
                 "root-lattice volume needs a fixed-sum point set of affine dimension n-1"
             )
-        if v.n == 1:
-            return Fraction(1)
         return normalized_volume([p[:-1] for p in v.points])
     if frame is LatticeFrame.STANDARD:
         if v.affine_dim != v.n:

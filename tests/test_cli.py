@@ -415,3 +415,47 @@ def test_inputs_past_the_caps_exit_2_at_once(tmp_path, argv, text):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
+
+
+def test_invariants_report_matches_the_library(tmp_path, capsys, catalog5):
+    """The report reads beta off the Tutte expansion; the library sums it
+    over the rank table.  They agree on every catalog(5) matroid, loops and
+    coloops (n = 1) included."""
+    from matvol.invariants import beta, gamma, signed_beta, signed_gamma
+    from matvol.matroid import is_connected
+
+    path = tmp_path / "m.matroid"
+    for entry in catalog5:
+        m = entry.matroid
+        path.write_text(serialize_matroid(m))
+        code, out, _ = run(capsys, ["invariants", str(path)])
+        assert code == 0
+        report = dict(line.split(" = ", 1) for line in out.splitlines()[2:])
+        assert report["connected"] == str(is_connected(m)).lower(), entry.name
+        for name, invariant in (("beta", beta), ("signed_beta", signed_beta),
+                                ("gamma", gamma), ("signed_gamma", signed_gamma)):
+            assert report[name] == str(invariant(m)), (entry.name, name)
+    assert any(entry.matroid.n == 1 for entry in catalog5)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "/no/such/file", "--catalog"], "verify takes a matroid file or --catalog, not both"),
+        (["verify", "/no/such/file", "--max-n", "9"], "--max-n applies to --catalog only"),
+    ],
+)
+def test_verify_refuses_arguments_it_would_ignore(capsys, argv, message):
+    """A file with --catalog, or --max-n without it, is refused before the
+    file is read, so a missing file is not what the error names."""
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_verify_catalog_header_names_the_default_depth(capsys):
+    code, out, _ = run(capsys, ["verify", "--catalog", "--max-n", "2"])
+    assert code == 0 and out.startswith("# command: verify --catalog --max-n 2\n")
+    code, out, _ = run(capsys, ["verify", "--catalog"])
+    assert code == 0 and out.splitlines() == ["# command: verify --catalog --max-n 5", "OK (368 checks)"]

@@ -67,3 +67,22 @@ def test_greedy_affine_basis_matches_elimination(pts):
         before = diffs[: i - 1]
         grows = matrix_rank(before + [diffs[i - 1]]) > matrix_rank(before)
         assert (i in basis) == grows
+
+
+def test_first_call_computes_facets_only_when_the_recursion_reads_them(monkeypatch):
+    # planar hulls, segments and simplices are measured without facets; the
+    # 3-cube is the one set here whose recursion reads them
+    import matvol.hull as hull
+
+    calls = []
+    real = hull.dd_facets
+    monkeypatch.setattr(hull, "dd_facets", lambda pts: calls.append(1) or real(pts))
+    square = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    hexagon = [(1, 0), (2, 0), (3, 1), (2, 2), (1, 2), (0, 1)]
+    simplex = [(0, 0, 0), (1, 0, 0), (0, 2, 0), (0, 0, 3)]
+    cube = list(product((0, 1), repeat=3))
+    for pts, volume in ((square, 1), (hexagon, 4), ([(0,), (3,)], 3), (simplex, 1)):
+        assert normalized_volume(pts) == volume
+    assert calls == []
+    assert normalized_volume(cube) == 1
+    assert calls == [1]

@@ -259,3 +259,9 @@ def test_dd_matches_exhaustive_on_catalog4_oracle_sets():
 def test_empty_point_set_is_refused_as_not_full_dimensional(hull_routine):
     with pytest.raises(ValueError, match="full-dimensional"):
         hull_routine([])
+
+
+@pytest.mark.parametrize("points", [(), ((1, 1),)])
+def test_hull_of_at_most_one_point_has_no_facets(points):
+    with pytest.raises(DegenerateInput, match="^a hull of at most one point has no facets$"):
+        hull_facets(VertexSet(2, points))
