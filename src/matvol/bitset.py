@@ -22,16 +22,20 @@ def mask_of(elements: Iterable[int]) -> int:
     return m
 
 
+def set_bits(mask: int) -> list[int]:
+    """0-based indices of the set bits of ``mask``, ascending; one step per
+    set bit, by isolating the lowest."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def elements_of(mask: int) -> tuple[int, ...]:
     """1-based elements of a mask, ascending."""
-    out = []
-    e = 1
-    while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
-    return tuple(out)
+    return tuple(i + 1 for i in set_bits(mask))
 
 
 def subset_sort_key(mask: int) -> tuple[int, int]:

@@ -20,10 +20,17 @@ time.  Each ray carries its incidence set, the bitmask of processed rows it
 lies on, forward: a ray made from an adjacent pair gets the intersection of
 its parents' sets plus the new row, so no set is recomputed from the rows.
 A row makes one pass over its dot products, sorting the rays into positive,
-negative and zero and building the kept lists; pairs run over positive x
-negative only, and a pair is adjacent when no third set contains its common
-set (the test counts the owners and stops at the third).  Everything is
+negative and zero; pairs run over positive x negative only.  Everything is
 integer arithmetic; rays are kept primitive by gcd division.
+
+One rule decides codimension 2, in the double description and in the
+volume recursion alike (``_is_ridge``): a meet of two masks is a face of
+codimension 2 exactly when no third mask contains it, since a ridge lies in
+exactly two facets and any smaller face in at least three.  The double
+description applies it to a ray pair whose common incidence set holds at
+least dim - 2 rows (a ray is a facet of the polar), as its adjacency test;
+the recursion applies it to a facet's meets of at least d - 1 points with
+the other facets, which are then its ridges, each with its own mask.
 
 Volumes are lattice-normalized: for full-dimensional integer point sets the
 normalized volume equals the Euclidean volume, computed by a recursive
@@ -35,8 +42,8 @@ projection maps the lattice points of a.x = b onto a sublattice of
 Z^(d-1) of index |a_i|.  ``normalized_volume`` is the recursion's first
 call and divides by d! once.  Faces of dimension 2 are measured directly,
 as the shoelace sum over their monotone-chain hull, so no ridges are built
-for them.  Faces are point masks, walked bit by bit; facets of a facet are
-the maximal intersections of at least d - 1 points.  Each face's facets,
+for them.  Faces are point masks, walked by ``bitset.set_bits``; the facets
+of a facet are its ridges, found by the rule above.  Each face's facets,
 the hull's own included, are computed only when the recursion reads them,
 so a face that needs none (dimension at most 2, a simplex, a memo hit)
 computes none.  Each facet's mask comes from one scan of the points, so the
@@ -55,6 +62,8 @@ from itertools import combinations
 from math import factorial, gcd
 from operator import and_, mul
 from typing import Iterable, Iterator, Sequence
+
+from .bitset import set_bits
 
 Vec = tuple[int, ...]
 Facet = tuple[Vec, int]
@@ -78,14 +87,9 @@ def _primitive(v: Sequence[int]) -> Vec:
 
 
 def _primitive_signed(v: Sequence[int]) -> Vec:
-    """Primitive vector with the first nonzero entry positive."""
+    """Primitive vector of a nonzero v, with the first nonzero entry positive."""
     p = _primitive(v)
-    for x in p:
-        if x > 0:
-            return p
-        if x < 0:
-            return tuple(-y for y in p)
-    return p
+    return p if next(x for x in p if x) > 0 else tuple(-y for y in p)
 
 
 def _echelon(rows: Iterable[Sequence[int]]) -> tuple[list[int], list[tuple[int, Sequence[int]]], int]:
@@ -221,20 +225,24 @@ def dd_facets(points: Sequence[Vec]) -> list[Facet]:
         for di, ri, ai in positive:
             for dj, rj, aj in negative:
                 common = ai & aj
-                if common.bit_count() < dim - 2:
-                    continue
-                owners = 0
-                for a in masks:
-                    if common & a == common:
-                        owners += 1
-                        if owners > 2:
-                            break
-                else:
+                if common.bit_count() >= dim - 2 and _is_ridge(common, masks):
                     kept.append(_primitive([di * y - dj * x for x, y in zip(ri, rj)]))
                     kept_masks.append(common | bit)
         rays, masks = kept, kept_masks
 
     return sorted({(r[:-1], r[-1]) for r in rays if any(r[:-1])})
+
+
+def _is_ridge(common: int, masks: Iterable[int]) -> bool:
+    """Whether the meet ``common`` of two of ``masks`` is a face of
+    codimension 2: no third mask contains it.  Stops at the third owner."""
+    owners = 0
+    for a in masks:
+        if common & a == common:
+            owners += 1
+            if owners > 2:
+                return False
+    return True
 
 
 def exhaustive_facets(points: Sequence[Vec]) -> list[Facet]:
@@ -352,9 +360,9 @@ def _planar_volume(pts: Sequence[Vec]) -> int:
 def _volume_rec(pts: tuple[Vec, ...], facets: Iterable[MaskedFacet], memo: dict) -> int:
     """N = d! Vol(conv(pts)) from its facets (a, b, mask), a.x <= b.
 
-    Faces are point masks (bit k: pts[k]); facets of a facet are the maximal
-    intersections.  The hull is the union of the pyramids from the apex
-    pts[0] over the facets missing it, so N(P) is the sum over those facets
+    Faces are point masks (bit k: pts[k]); facets of a facet are its ridges
+    (``_facets_of_facet``).  The hull is the union of the pyramids from the
+    apex pts[0] over the facets missing it, so N(P) is the sum over those facets
     of (b - a.apex) N(F') / |a_i|, where F' is the facet projected along the
     coordinate i of its largest |a_i|.  The division is exact: a is
     primitive, so that projection maps the lattice points of a.x = b onto a
@@ -382,7 +390,7 @@ def _volume_rec(pts: tuple[Vec, ...], facets: Iterable[MaskedFacet], memo: dict)
         if mask & 1:
             continue  # the apex lies on this facet: a flat pyramid
         i = max(range(d), key=lambda j: abs(a[j]))
-        on = _set_bits(mask)
+        on = set_bits(mask)
         sub_pts = tuple(pts[k][:i] + pts[k][i + 1 :] for k in on)
         sub = _volume_rec(sub_pts, _facets_of_facet(facets, a, b, mask, i, on), memo)
         total += (b - _dot(a, apex)) * (sub // abs(a[i]))
@@ -395,32 +403,19 @@ def _facets_of_facet(
 ) -> Iterator[MaskedFacet]:
     """Facets of the facet (a, b, mask), with coordinate i eliminated.
 
-    They are the inclusion-maximal intersections mask & G over the other
-    facets G: a proper face lies in some ridge, and a ridge in exactly two
-    facets.  A ridge spans d - 2 dimensions, so a meet of fewer than d - 1
-    points lies in a ridge and is dropped before the sort.  Each ridge keeps
-    G's inequality restricted to a.x = b, its mask renumbered over ``on``.
+    They are its ridges: the meets mask & G with another facet G that hold
+    at least d - 1 points (a ridge spans d - 2 dimensions) and that no third
+    facet contains (``_is_ridge``).  Each ridge keeps G's inequality
+    restricted to a.x = b, its mask renumbered over ``on``.
     """
     least = len(a) - 1
-    meets = [(m, c, e) for c, e, other in facets if other != mask and (m := mask & other).bit_count() >= least]
-    ridges: list[tuple[int, Vec, int]] = []
-    for common, c, e in sorted(meets, key=lambda t: -t[0].bit_count()):
-        if all(common & r != common for r, _, _ in ridges):
-            ridges.append((common, c, e))
+    masks = [other for _, _, other in facets]
     position = {k: 1 << j for j, k in enumerate(on)}
-    for r, c, e in ridges:
-        sub_mask = sum([position[k] for k in _set_bits(r)])
-        yield (*_project_inequality(c, e, a, b, i), sub_mask)
-
-
-def _set_bits(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    for c, e, other in facets:
+        common = mask & other
+        if other != mask and common.bit_count() >= least and _is_ridge(common, masks):
+            sub_mask = sum([position[k] for k in set_bits(common)])
+            yield (*_project_inequality(c, e, a, b, i), sub_mask)
 
 
 def _project_inequality(c: Vec, e: int, a: Vec, b: int, i: int) -> Facet:

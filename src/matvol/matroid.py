@@ -391,25 +391,15 @@ def components(m: Matroid) -> list[int]:
     The component of e is the intersection of all separators containing e;
     separators are the subsets with r(A) + r(E-A) = r(E).
     """
-    if m.n == 0:
-        return []
     full = m.full_mask
     r = m.rank_value
     table = m.rank_table
     comp = [full] * m.n
+    bits = [1 << e for e in range(m.n)]
     for a in range(1, full, 2):
-        if table[a] + table[full ^ a] != r:
-            continue
-        for e in range(m.n):
-            if a >> e & 1:
-                comp[e] &= a
-            else:
-                comp[e] &= full ^ a
-    seen: list[int] = []
-    for c in comp:
-        if c not in seen:
-            seen.append(c)
-    return sorted(seen)
+        if table[a] + table[full ^ a] == r:
+            comp = [c & (a if a & bit else full ^ a) for c, bit in zip(comp, bits)]
+    return sorted(set(comp))
 
 
 def restriction(m: Matroid, subset: int) -> Matroid:

@@ -3,7 +3,9 @@
 Vertex sets come straight from the combinatorial definitions (indicator
 vectors of bases, of independent sets, of basis flags); volumes come from
 exact convex hulls and pyramid decompositions, with no reference to the
-invariant formulas they are checked against.
+invariant formulas they are checked against.  A flag of independent sets of
+sizes 1..r is an ordering of the basis it ends in, so the flag polytope's
+points are read off the bases alone, with no rank query.
 
 Volumes are measured in one of two lattices: base and flag polytopes live
 in a coordinate-sum hyperplane x(E) = c and are normalized with respect to
@@ -25,8 +27,10 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from itertools import permutations
 from typing import NamedTuple
 
+from .bitset import set_bits
 from .errors import DegenerateInput, DimensionMismatch
 from .hull import (
     Facet,
@@ -93,29 +97,19 @@ def vertices_flag(m: Matroid) -> VertexSet:
     """Sums of indicator vectors along every flag of truncation bases.
 
     A flag is a chain of independent sets of sizes 1..r, each contained in
-    the next; the element added at depth j contributes r - j + 1 to its
-    coordinate.
+    the next, so it is an ordering of the basis it ends in: every subset of
+    a basis is independent.  The element at position j (0-based) lies in
+    the last r - j sets of the chain and gets coordinate r - j.
     """
-    r = m.rank_value
-    points: set[Vec] = set()
+    weights = range(m.rank_value, 0, -1)
 
-    def grow(current: int, depth: int, vec: list[int]):
-        if depth > r:
-            points.add(tuple(vec))
-            return
-        for e in range(m.n):
-            bit = 1 << e
-            if current & bit:
-                continue
-            nxt = current | bit
-            if m.rank(nxt) != depth:
-                continue
-            vec[e] += r - depth + 1
-            grow(nxt, depth + 1, vec)
-            vec[e] -= r - depth + 1
+    def point(order: tuple[int, ...]) -> list[int]:
+        vec = [0] * m.n
+        for e, w in zip(order, weights):
+            vec[e] = w
+        return vec
 
-    grow(0, 1, [0] * m.n)
-    return _vertex_set(m.n, points)
+    return _vertex_set(m.n, (point(order) for b in m.bases for order in permutations(set_bits(b))))
 
 
 # ---------------------------------------------------------------------------

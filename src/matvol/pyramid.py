@@ -25,7 +25,7 @@ from math import comb, factorial
 from typing import Callable
 
 from .errors import DimensionMismatch, DisconnectedMatroid, WorkBudgetExceeded
-from .matroid import Matroid, components, minor_table, restriction, splits
+from .matroid import Matroid, components, is_connected, minor_table, restriction, splits
 
 PYRAMID_WORK_BUDGET = 1 << 26
 """Most subset-table entries one pyramid recursion may touch: each state it
@@ -149,8 +149,11 @@ def pyramid_normalized_volume(table: bytes) -> int:
     with h_S = g(S) - v(S).  The minors' tables are memo keys, so minors
     that agree after relabeling are computed once; a minor that splits is
     memoized as 0, so each minor's split test runs once too.  Raises
-    ``WorkBudgetExceeded`` past ``PYRAMID_WORK_BUDGET``.
+    ``WorkBudgetExceeded`` past ``PYRAMID_WORK_BUDGET``, and ``ValueError``
+    on a table whose length is not a power of two.
     """
+    if not table or len(table) & (len(table) - 1):
+        raise ValueError(f"a set function table holds 2^k values, got {len(table)}")
     if len(table) <= 8:
         return _small_volume(table, len(table) - 1, 0)
     if splits(table):
@@ -235,10 +238,13 @@ def pyramid_volume_independent(m: Matroid) -> Fraction:
     f(A + p) = r(E), whose base polytope projects onto the independent set
     polytope with its lattice volume.  A loop flattens the polytope.  The
     lift puts p first, so the greedy vertex is the origin and the faces in
-    the sum are the x(F) = r(F) with F a flat of M.
+    the sum are the x(F) = r(F) with F a flat of M.  A disconnected M gives
+    the product over its components, as for the base polytope.
     """
     if m.has_loops():
         return Fraction(0)
+    if not is_connected(m):
+        return component_product(m, pyramid_volume_independent)
     lifted = bytearray(2 << m.n)  # mask 2A + 1 holds A + p
     lifted[0::2] = m.rank_table
     lifted[1::2] = bytes((m.rank_value,)) * (1 << m.n)

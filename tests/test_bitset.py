@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matvol.bitset import fold_subsets, format_subset, subset_formatter
+from matvol.bitset import elements_of, fold_subsets, format_subset, set_bits, subset_formatter
 from matvol.decomposition import mobius_subsets, zeta_subsets
 
 
@@ -110,3 +110,11 @@ def test_subset_formatter_matches_format_subset(data):
     render = subset_formatter(n)
     for mask in data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=50)) + [0, (1 << n) - 1]:
         assert render(mask) == format_subset(mask)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, (1 << 70) - 1))
+def test_set_bits_walks_the_set_bits_in_order(mask):
+    expected = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    assert set_bits(mask) == expected
+    assert elements_of(mask) == tuple(i + 1 for i in expected)

@@ -439,6 +439,33 @@ def test_invariants_report_matches_the_library(tmp_path, capsys, catalog5):
 
 
 @pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        ("n: three\nuniform: 1 3\n", [], "line 1: ground set size must be an integer, got 'three'"),
+        ("n: 3\nbases: 1,2,1\n", [], "line 2: repeated element in basis '1,2,1'"),
+        ("n: 3\nuniform: 2\n", [], "line 2: uniform clause needs '<k> <n>'"),
+        ("n: 3\ngraph:\n", [], "line 2: graph clause needs at least one edge"),
+        ("n: 1\ngraph: 1-2-3\n", [], "line 2: edge '1-2-3' must look like 'u-v'"),
+        ("n: 1\ngraph: 0-1\n", [], "line 2: vertices are positive integers"),
+        (U23_TEXT, ["--threads", "x"], "argument --threads: expected an integer, got 'x'"),
+    ],
+    ids=["non-integer", "repeated-element", "uniform-arity", "empty-graph", "edge-shape", "vertex-zero",
+         "threads"],
+)
+def test_grammar_and_option_refusals_exit_2(tmp_path, capsys, text, argv, message):
+    """Each malformed file or option value exits 2 with empty stdout, and
+    stderr ends with its message (a usage line comes first from argparse)."""
+    try:
+        code = main(["volume", write(tmp_path, "m.matroid", text), *argv])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["verify", "/no/such/file", "--catalog"], "verify takes a matroid file or --catalog, not both"),

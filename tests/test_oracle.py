@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from matvol.decomposition import decompose_base_polytope
 from matvol.errors import DegenerateInput, DimensionMismatch
 from matvol.hull import dd_facets, exhaustive_facets, normalized_volume
-from matvol.matroid import from_bases, is_connected, uniform
+from matvol.matroid import Matroid, from_bases, is_connected, uniform
 from matvol.oracle import (
     LatticeFrame,
     VertexSet,
@@ -35,6 +36,44 @@ def test_vertices_base_pyramid():
 def test_vertices_flag_golden():
     m = from_bases(3, [0b011, 0b101])
     assert set(vertices_flag(m).points) == {(2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 0, 2)}
+
+
+def _flag_points_by_chains(m):
+    """Flag points from the definition: chains of independent sets of sizes
+    1..r, each grown by one element, the element added at depth j weighted
+    r - j + 1."""
+    r = m.rank_value
+    points = set()
+
+    def grow(current, depth, vec):
+        if depth > r:
+            points.add(tuple(vec))
+            return
+        for e in range(m.n):
+            nxt = current | 1 << e
+            if nxt != current and m.rank(nxt) == depth:
+                vec[e] += r - depth + 1
+                grow(nxt, depth + 1, vec)
+                vec[e] -= r - depth + 1
+
+    grow(0, 1, [0] * m.n)
+    return points
+
+
+def test_vertices_flag_are_the_chains_of_independent_sets(catalog5):
+    for entry in catalog5:
+        assert set(vertices_flag(entry.matroid).points) == _flag_points_by_chains(entry.matroid), entry.name
+
+
+def test_vertices_flag_reads_only_the_bases(monkeypatch):
+    """A flag is an ordering of the basis it ends in, so no rank is read."""
+    def refuse(_):
+        raise AssertionError("vertices_flag read the rank table")
+
+    m = from_bases(4, [0b0011, 0b0101, 0b1001, 0b0110, 0b1010])
+    monkeypatch.setattr(Matroid, "rank_table", property(refuse))
+    assert len(vertices_flag(m).points) == 2 * len(m.bases)
+    assert set(vertices_flag(uniform(3, 3)).points) == set(permutations((1, 2, 3)))
 
 
 def test_vertices_indep_single_element():

@@ -13,6 +13,7 @@ from math import comb, factorial
 import pytest
 
 import matvol
+from matvol.cli import main
 from matvol.errors import DimensionMismatch, MatvolError
 from matvol.matroid import Graph, contract, direct_sum, from_bases, graphic, is_connected, uniform
 from matvol.oracle import LatticeFrame, VertexSet, vertices_base, vertices_indep, volume_exact
@@ -369,3 +370,24 @@ def test_flag_entry_points_refuse_alike(m):
             route(m)
         raised.add(type(info.value))
     assert len(raised) == 1, raised
+
+
+def test_independent_recursion_splits_over_components(tmp_path, capsys):
+    """The independent set polytope of a direct sum is the product of the
+    summands' polytopes, so the recursion runs on each component: unsplit,
+    U(5,10) + U(5,10) is past the work budget, and U(20,20), the unit cube,
+    far past it.  U(5,10) has volume 1/2, as x -> 1 - x swaps its two
+    halves of the unit cube."""
+    assert pyramid_volume_independent(direct_sum(uniform(5, 10), uniform(5, 10))) == Fraction(1, 4)
+    m = direct_sum(uniform(1, 3), uniform(2, 3))
+    assert pyramid_volume_independent(m) == volume_independent_polytope(m)
+    path = tmp_path / "u2020.matroid"
+    path.write_text("n: 20\nuniform: 20 20\n")
+    assert main(["volume", str(path), "--polytope", "indep"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "volume = 1"
+
+
+@pytest.mark.parametrize("table", [b"", b"\x00\x01\x01", b"\x00\x01\x01\x02\x01"], ids=["empty", "3", "5"])
+def test_tables_of_other_lengths_than_a_power_of_two_are_refused(table):
+    with pytest.raises(ValueError, match="2\\^k values"):
+        pyramid_normalized_volume(table)
