@@ -114,13 +114,26 @@ def _parse_int(token: str, what: str, lineno: int) -> int:
 
 
 def _parse_bases(n: int, rest: str, lineno: int) -> Matroid:
+    """A token of distinct labels spelled as ``str(e)`` is read by one sum
+    over a label table; a repeated label carries and lowers the popcount
+    below the count of pieces.  Any other token takes the per-piece loop,
+    which accepts the other spellings ``int`` reads and words each error."""
     tokens = rest.split()
     if not tokens:
         raise ParseError("bases clause needs at least one basis", lineno)
+    bit = {str(e): 1 << (e - 1) for e in range(1, n + 1)}
     masks = []
     for token in tokens:
+        pieces = token.split(",")
+        try:
+            mask = sum(map(bit.__getitem__, pieces))
+        except KeyError:
+            mask = 0
+        if mask.bit_count() == len(pieces):
+            masks.append(mask)
+            continue
         elements = []
-        for piece in token.split(","):
+        for piece in pieces:
             e = _parse_int(piece, "element label", lineno)
             if not 1 <= e <= n:
                 raise ParseError(f"element {e} outside 1..{n}", lineno)

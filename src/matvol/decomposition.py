@@ -24,7 +24,7 @@ import operator
 from itertools import compress
 from typing import Mapping, NamedTuple, Sequence
 
-from .bitset import elements_of, fold_subsets, subset_sort_key
+from .bitset import elements_of, fold_subsets
 from .errors import FamilyMismatch
 from .invariants import signed_beta_contractions, signed_gamma_contractions
 from .matroid import Matroid
@@ -98,7 +98,10 @@ class SignedDecomposition(_DecompositionFields):
         return equal if equal is NotImplemented else not equal
 
     def sorted_items(self) -> list[tuple[int, int]]:
-        return sorted(self.coeffs.items(), key=lambda kv: subset_sort_key(kv[0]))
+        """The (mask, coefficient) pairs in ``subset_sort_key`` order: by
+        mask, then stably by size."""
+        masks = sorted(sorted(self.coeffs), key=int.bit_count)
+        return list(zip(masks, map(self.coeffs.__getitem__, masks)))
 
     def is_empty(self) -> bool:
         return not self.coeffs

@@ -40,6 +40,12 @@ def test_parse_u23():
     assert parse_matroid_file(U23_TEXT) == uniform(2, 3)
 
 
+def test_labels_in_other_integer_spellings_still_parse():
+    """Leading zeros and signs are not the labels' canonical spelling, so
+    these tokens take the per-piece reading, which accepts them as before."""
+    assert parse_matroid_file("n: 3\nbases: 01,2 +1,3 2,3\n").bases == {3, 5, 6}
+
+
 def test_parse_pyramid():
     m = parse_matroid_file(PYRAMID_TEXT)
     assert m == from_bases(4, [0b0011, 0b0101, 0b1001, 0b0110, 0b1010])
@@ -448,9 +454,16 @@ def test_invariants_report_matches_the_library(tmp_path, capsys, catalog5):
         ("n: 1\ngraph: 1-2-3\n", [], "line 2: edge '1-2-3' must look like 'u-v'"),
         ("n: 1\ngraph: 0-1\n", [], "line 2: vertices are positive integers"),
         (U23_TEXT, ["--threads", "x"], "argument --threads: expected an integer, got 'x'"),
+        ("n: 3\nbases: 1,,2\n", [], "line 2: element label must be an integer, got ''"),
+        ("n: 3\nbases: x\n", [], "line 2: element label must be an integer, got 'x'"),
+        ("n: 3\nbases: 0,1\n", [], "line 2: element 0 outside 1..3"),
+        ("n: 3\nbases: -1,2\n", [], "line 2: element -1 outside 1..3"),
+        ("n: 3\nbases: 1,4\n", [], "line 2: element 4 outside 1..3"),
+        ("n: 3\nbases: 1,1\n", [], "line 2: repeated element in basis '1,1'"),
     ],
     ids=["non-integer", "repeated-element", "uniform-arity", "empty-graph", "edge-shape", "vertex-zero",
-         "threads"],
+         "threads", "empty-label", "lone-label", "label-zero", "label-negative", "label-past-n",
+         "label-twice"],
 )
 def test_grammar_and_option_refusals_exit_2(tmp_path, capsys, text, argv, message):
     """Each malformed file or option value exits 2 with empty stdout, and

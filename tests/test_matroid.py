@@ -18,6 +18,8 @@ from matvol.errors import (
 from matvol.invariants import beta
 from matvol.matroid import (
     Graph,
+    Matroid,
+    _is_submodular,
     coconnected_flats,
     components,
     contract,
@@ -198,6 +200,16 @@ def test_components_of_direct_sum():
     assert restriction(m, 0b00111) == uniform(2, 3)
 
 
+def test_components_of_the_empty_matroid_are_none():
+    assert components(Matroid(n=0, rank_value=0, bases=frozenset({0}))) == []
+
+
+def test_components_at_the_ground_set_cap():
+    assert components(uniform(20, 20)) == [1 << e for e in range(20)]
+    assert components(direct_sum(uniform(5, 10), uniform(5, 10))) == [0x3FF, 0x3FF << 10]
+    assert components(uniform(10, 20)) == [(1 << 20) - 1]
+
+
 def test_coconnected_flats_examples():
     assert coconnected_flats(uniform(2, 3)) == [0, 0b001, 0b010, 0b100]
     assert coconnected_flats(uniform(1, 3)) == [0]
@@ -329,6 +341,15 @@ def test_from_bases_accepts_exactly_exchange_families(case):
     else:
         assert _satisfies_exchange(family)
         assert m.bases == family
+
+
+@settings(max_examples=400, deadline=None)
+@given(_basis_families())
+def test_submodularity_alone_decides_the_exchange_axiom(case):
+    """The walk that names a violation runs only after the submodularity
+    test fails, so that test must be exact on its own."""
+    n, family = case
+    assert _is_submodular(from_bases(n, family, validate=False)) == _satisfies_exchange(family)
 
 
 def test_rank_table_uniform_at_ground_set_cap():
