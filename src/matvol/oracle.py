@@ -184,7 +184,7 @@ def minkowski_sum_vertices(v1: VertexSet, v2: VertexSet) -> VertexSet:
     if v1.n != v2.n:
         raise DimensionMismatch(f"ambient dimensions differ: {v1.n} vs {v2.n}")
     sums = sorted({tuple(a + b for a, b in zip(p, q)) for p in v1.points for q in v2.points})
-    if affine_rank(sums) == 0:
+    if len(sums) <= 1:
         return _vertex_set(v1.n, sums)
     chart = _AffineChart(tuple(sums))
     pts = chart.integer_coords(sums)
@@ -211,7 +211,7 @@ def volume_exact(v: VertexSet, frame: LatticeFrame) -> Fraction:
             )
         return normalized_volume([p[:-1] for p in v.points])
     if frame is LatticeFrame.STANDARD:
-        if v.affine_dim != v.n:
+        if v.affine_dim != v.n or not v.points:  # the empty set has affine rank 0 = n at n = 0
             raise DimensionMismatch("standard-lattice volume needs a full-dimensional point set")
         return normalized_volume(list(v.points))
     raise ValueError(f"unknown lattice frame {frame!r}")

@@ -12,6 +12,13 @@ The recursion is all integer, and its work is capped by
 ``PYRAMID_WORK_BUDGET``.  Volumes are lattice-normalized as in ``volume``,
 whose tuple formulas give the same values far more slowly.
 
+A P(f) whose f splits is lower-dimensional and the product of smaller
+ones, so connectivity is decided once per volume call, before the
+recursion: ``component_product`` splits a base or independent set volume
+over the components of M for both routes, and the flag table and the
+lifted table of a loopless M never split.  The recursion tests only the
+minors it builds.
+
 The recursion is kept apart from ``volume``: a process that imports the
 package from source keeps the compiler's memory for its largest module
 resident, so one large module costs memory in every such process.
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Callable
 
 from .errors import DimensionMismatch, DisconnectedMatroid, WorkBudgetExceeded
@@ -139,7 +146,17 @@ def pyramid_normalized_volume(table: bytes) -> int:
     monotone and submodular with g(empty) = 0 and values below 256.  The
     volume is lattice-normalized in the hyperplane x(G) = g(G), so N is an
     integer; it is 0 when g splits (P(g) is then lower-dimensional) and 1
-    on a single element.
+    on a single element.  Raises ``WorkBudgetExceeded`` past
+    ``PYRAMID_WORK_BUDGET``, and ``ValueError`` on a table whose length is
+    not a power of two.
+    """
+    if not table or len(table) & (len(table) - 1):
+        raise ValueError(f"a set function table holds 2^k values, got {len(table)}")
+    return 0 if splits(table) else _recursion(table)
+
+
+def _recursion(table: bytes) -> int:
+    """``pyramid_normalized_volume`` of a table that does not split.
 
     Every facet of P(g) is a face x(S) = g(S), which is the product
     P(g|S) x P(g/S).  A pyramid from a vertex v over each facet gives
@@ -148,16 +165,12 @@ def pyramid_normalized_volume(table: bytes) -> int:
 
     with h_S = g(S) - v(S).  The minors' tables are memo keys, so minors
     that agree after relabeling are computed once; a minor that splits is
-    memoized as 0, so each minor's split test runs once too.  Raises
-    ``WorkBudgetExceeded`` past ``PYRAMID_WORK_BUDGET``, and ``ValueError``
-    on a table whose length is not a power of two.
+    memoized as 0, so each minor's split test runs once too.  The top
+    table is not tested: the entry points below pass only tables that
+    cannot split, and ``pyramid_normalized_volume`` tests the rest.
     """
-    if not table or len(table) & (len(table) - 1):
-        raise ValueError(f"a set function table holds 2^k values, got {len(table)}")
     if len(table) <= 8:
         return _small_volume(table, len(table) - 1, 0)
-    if splits(table):
-        return 0
     memo: dict[bytes, int] = {}
     lane_cache: dict[int, tuple] = {}
     work = 0
@@ -198,15 +211,18 @@ def pyramid_normalized_volume(table: bytes) -> int:
     return expand(table)
 
 
-def component_product(m: Matroid, volume: Callable[[Matroid], Fraction]) -> Fraction:
-    """The product of ``volume`` over the components of M, the volume of a
-    disconnected M for both the tuple routes and the recursion: its
-    polytopes are products of its components' polytopes.  The empty matroid,
-    which has no components, gives 1."""
-    result = Fraction(1)
-    for comp in components(m):
-        result *= volume(restriction(m, comp))
-    return result
+def component_product(m: Matroid, connected_volume: Callable[[Matroid], Fraction]) -> Fraction:
+    """The volume of M from ``connected_volume`` of its components, for the
+    tuple routes and the recursion alike: the one connectivity decision of
+    a base or independent set volume.  ``components`` runs once; a matroid
+    with one component (a lone loop or coloop among them) is measured as
+    it is, and each component of a disconnected M is measured without a
+    second test, its polytopes being the product of its components'.  The
+    empty matroid, which has no components, gives 1."""
+    parts = components(m)
+    if len(parts) == 1:
+        return connected_volume(m)
+    return prod((connected_volume(restriction(m, part)) for part in parts), start=Fraction(1))
 
 
 def refuse_flag(m: Matroid) -> None:
@@ -223,12 +239,18 @@ def pyramid_volume_base(m: Matroid) -> Fraction:
     """Base polytope volume by the pyramid recursion on f = r.
 
     Same values as ``volume_base_polytope``: a disconnected matroid gives
-    the product over its components.
+    the product over its components, and a connected one's rank table does
+    not split.
     """
-    normalized = pyramid_normalized_volume(m.rank_table)
-    if normalized and m.n:
-        return Fraction(normalized, factorial(m.n - 1))
-    return component_product(m, pyramid_volume_base)  # 0 means M splits
+    return component_product(m, lambda c: Fraction(_recursion(c.rank_table), factorial(c.n - 1)))
+
+
+def _lifted_table(m: Matroid) -> bytes:
+    """The lift of r to E + p, p first: mask 2A + 1 holds f(A + p) = r(E)."""
+    lifted = bytearray(2 << m.n)
+    lifted[0::2] = m.rank_table
+    lifted[1::2] = bytes((m.rank_value,)) * (1 << m.n)
+    return bytes(lifted)
 
 
 def pyramid_volume_independent(m: Matroid) -> Fraction:
@@ -239,16 +261,20 @@ def pyramid_volume_independent(m: Matroid) -> Fraction:
     polytope with its lattice volume.  A loop flattens the polytope.  The
     lift puts p first, so the greedy vertex is the origin and the faces in
     the sum are the x(F) = r(F) with F a flat of M.  A disconnected M gives
-    the product over its components, as for the base polytope.
+    the product over its components, as for the base polytope.  The lift
+    of a loopless M never splits: a split S with p in S has
+    f(S) = r(E) = f(E + p), so it needs r(E - S) = 0.
     """
     if m.has_loops():
         return Fraction(0)
-    if not is_connected(m):
-        return component_product(m, pyramid_volume_independent)
-    lifted = bytearray(2 << m.n)  # mask 2A + 1 holds A + p
-    lifted[0::2] = m.rank_table
-    lifted[1::2] = bytes((m.rank_value,)) * (1 << m.n)
-    return Fraction(pyramid_normalized_volume(bytes(lifted)), factorial(m.n))
+    return component_product(m, lambda c: Fraction(_recursion(_lifted_table(c)), factorial(c.n)))
+
+
+def _flag_table(m: Matroid) -> bytes:
+    """f = sum over i <= r of min(r, i), read off the rank table by value."""
+    r = m.rank_value
+    by_rank = bytes(sum(min(v, i) for i in range(1, r + 1)) for v in range(r + 1))
+    return m.rank_table.translate(by_rank + bytes(256 - len(by_rank)))
 
 
 def pyramid_volume_flag(m: Matroid) -> Fraction:
@@ -256,18 +282,17 @@ def pyramid_volume_flag(m: Matroid) -> Fraction:
 
     The flag polytope is the Minkowski sum of the base polytopes of the
     truncations, so it is P(f) for f = sum over i <= r of min(r, i).
-    ``refuse_flag`` decides which matroids have none.
+    ``refuse_flag`` decides which matroids have none.  The table of a
+    loopless M never splits: the rank-1 truncation's summand is the whole
+    simplex, so P(f) is full-dimensional in x(E) = f(E).
     """
     refuse_flag(m)
-    r = m.rank_value
-    by_rank = bytes(sum(min(v, i) for i in range(1, r + 1)) for v in range(r + 1))
-    flag = m.rank_table.translate(by_rank + bytes(256 - len(by_rank)))
-    return Fraction(pyramid_normalized_volume(flag), factorial(m.n - 1))
+    return Fraction(_recursion(_flag_table(m)), factorial(m.n - 1))
 
 
 def orbit_degree(m: Matroid) -> tuple[Fraction, int]:
     """Base polytope volume together with its integer (n-1)! multiple."""
-    normalized = pyramid_normalized_volume(m.rank_table)  # 0 when M splits
-    if not normalized or not m.rank_value:  # a lone loop is a point, but not connected
+    if not is_connected(m):  # a lone loop is a point, but not connected
         raise DisconnectedMatroid("degree is defined here for connected matroids only")
+    normalized = _recursion(m.rank_table)
     return Fraction(normalized, factorial(m.n - 1)), normalized

@@ -19,10 +19,12 @@ family of the partial tuple's transversal matroid, as a bitset over the
 2^n subsets of [n]; its work is capped by ``TUPLE_WORK_BUDGET``.
 
 The three named volumes are ``volume_signed_sum`` of the ``decompose_*``
-decompositions once one-element ground sets, components and loops are split
-off, the last two by ``pyramid``'s ``component_product`` and ``refuse_flag``,
-which the recursion shares; the base volume sums whichever of M and its dual
-has fewer summands.
+decompositions once components and loops are split off by ``pyramid``'s
+``component_product`` and ``refuse_flag``, which the recursion shares:
+``component_product`` is the one connectivity decision of a base or
+independent set volume, and hands each component, a one-element one
+included, to the connected formula without testing it again.  The base
+volume sums whichever of M and its dual has fewer summands.
 ``independent_volume_census`` is the same sum over size-graded coefficients,
 which group the ordered tuples by the sorted sizes of their sets.
 
@@ -313,10 +315,12 @@ def volume_base_polytope(m: Matroid, threads: int = 1) -> Fraction:
     has fewer summands (the two polytopes are congruent).  Disconnected
     matroids factor into a product over components.
     """
+    return component_product(m, _connected_base_volume)
+
+
+def _connected_base_volume(m: Matroid) -> Fraction:
     if m.n == 1:
         return Fraction(1)  # a single point either way
-    if not is_connected(m):
-        return component_product(m, volume_base_polytope)
     d = decompose_base_polytope(m)
     dual_d = decompose_base_polytope(dual(m))
     return volume_signed_sum(dual_d if len(dual_d.coeffs) < len(d.coeffs) else d)
@@ -328,10 +332,12 @@ def volume_independent_polytope(m: Matroid, threads: int = 1) -> Fraction:
     Disconnected matroids factor as a coordinate product; a loop flattens
     its factor to a point, so any loop forces volume 0.
     """
+    return component_product(m, _connected_independent_volume)
+
+
+def _connected_independent_volume(m: Matroid) -> Fraction:
     if m.n == 1:
         return Fraction(m.rank_value)  # unit segment for a coloop, point for a loop
-    if not is_connected(m):
-        return component_product(m, volume_independent_polytope)
     return volume_signed_sum(decompose_independent_polytope(m))
 
 

@@ -304,3 +304,9 @@ def test_empty_point_set_is_refused_as_not_full_dimensional(hull_routine):
 def test_hull_of_at_most_one_point_has_no_facets(points):
     with pytest.raises(DegenerateInput, match="^a hull of at most one point has no facets$"):
         hull_facets(VertexSet(2, points))
+
+
+def test_standard_volume_of_the_empty_point_set_is_a_dimension_mismatch():
+    """At n = 0 the empty set has affine rank 0 = n, yet it spans nothing."""
+    with pytest.raises(DimensionMismatch, match="^standard-lattice volume needs a full-dimensional point set$"):
+        volume_exact(VertexSet(0, ()), LatticeFrame.STANDARD)

@@ -14,8 +14,18 @@ import pytest
 
 import matvol
 from matvol.cli import main
-from matvol.errors import DimensionMismatch, MatvolError
-from matvol.matroid import Graph, contract, direct_sum, from_bases, graphic, is_connected, uniform
+from matvol.errors import DimensionMismatch, DisconnectedMatroid, MatvolError
+from matvol.matroid import (
+    Graph,
+    components,
+    contract,
+    direct_sum,
+    from_bases,
+    graphic,
+    is_connected,
+    restriction,
+    uniform,
+)
 from matvol.oracle import LatticeFrame, VertexSet, vertices_base, vertices_indep, volume_exact
 from matvol.pyramid import (
     pyramid_normalized_volume,
@@ -391,3 +401,97 @@ def test_independent_recursion_splits_over_components(tmp_path, capsys):
 def test_tables_of_other_lengths_than_a_power_of_two_are_refused(table):
     with pytest.raises(ValueError, match="2\\^k values"):
         pyramid_normalized_volume(table)
+
+
+def test_flag_and_lifted_tables_of_loopless_matroids_never_split():
+    """The recursion does not test the top tables of the flag and the
+    independent set routes, as neither splits for a loopless M: the rank-1
+    truncation's summand is the whole simplex, and a split S of the lift
+    with p in S would need r(E - S) = 0."""
+    from matvol.catalog import full_catalog
+    from matvol.matroid import splits
+    from matvol.pyramid import _flag_table, _lifted_table
+
+    loopless = [entry.matroid for entry in full_catalog(7) if not entry.matroid.has_loops()]
+    assert len(loopless) == 438
+    for m in loopless:
+        assert not splits(_flag_table(m)), m
+        assert not splits(_lifted_table(m)), m
+
+
+def record_connectivity_calls(monkeypatch) -> dict[str, list]:
+    """The tables and matroids passed to ``components``, ``splits`` and
+    ``is_connected`` as ``pyramid`` and ``volume`` bind them."""
+    import matvol.pyramid as pyramid
+    import matvol.volume as volume
+
+    calls: dict[str, list] = {"components": [], "splits": [], "is_connected": []}
+    for module in (pyramid, volume):
+        for name, log in calls.items():
+            if hasattr(module, name):
+                original = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda arg, f=original, log=log: log.append(arg) or f(arg))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "m, tuple_routes",
+    [
+        (uniform(3, 6), True),
+        (direct_sum(uniform(2, 4), uniform(2, 4)), True),
+        (direct_sum(uniform(5, 10), uniform(5, 10)), False),  # past the tuple sums' budget
+    ],
+    ids=["U(3,6)", "U(2,4)+U(2,4)", "U(5,10)+U(5,10)"],
+)
+def test_base_and_independent_volumes_decide_connectivity_once(m, tuple_routes, monkeypatch):
+    """One ``components`` call per volume: a connected M is measured as it
+    is, and each component of a disconnected one without a second test, so
+    no table of M or of a component is scanned by ``splits`` and nothing
+    runs ``is_connected``."""
+    calls = record_connectivity_calls(monkeypatch)
+    largest = max(len(restriction(m, part).rank_table) for part in components(m))
+    routes = [(pyramid_volume_base, largest), (pyramid_volume_independent, 2 * largest)]
+    if tuple_routes:
+        routes += [(volume_base_polytope, 1), (volume_independent_polytope, 1)]
+    for route, top in routes:
+        for log in calls.values():
+            log.clear()
+        route(m)
+        assert calls["components"] == [m], route.__name__
+        assert not calls["is_connected"], route.__name__
+        assert all(len(t) < top for t in calls["splits"]), route.__name__
+
+
+def test_flag_recursion_does_not_test_its_top_table(monkeypatch):
+    calls = record_connectivity_calls(monkeypatch)
+    m = uniform(3, 6)
+    assert pyramid_volume_flag(m) == volume_truncation_flag(m)
+    assert calls["splits"] and all(len(t) < len(m.rank_table) for t in calls["splits"])
+
+
+@pytest.mark.parametrize(
+    "m",
+    [uniform(0, 1), contract(uniform(2, 3), 0b111), direct_sum(uniform(1, 1), uniform(1, 1))],
+    ids=["loop", "empty", "U(1,1)+U(1,1)"],
+)
+def test_degree_is_refused_off_connected_matroids(m):
+    with pytest.raises(DisconnectedMatroid, match="connected matroids only"):
+        orbit_degree(m)
+
+
+def test_degree_of_a_coloop():
+    assert orbit_degree(uniform(1, 1)) == (Fraction(1), 1)
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 11, 12])
+def test_permutohedron_flag_volume_past_the_oracle(n):
+    """Pi_n, the flag polytope of U(n-1, n), has normalized volume n^(n-2)
+    (Cayley's formula)."""
+    assert pyramid_volume_flag(uniform(n - 1, n)) == n ** (n - 2)
+
+
+@pytest.mark.parametrize("k", [6, 7, 8])
+def test_independent_volume_of_the_middle_hypersimplex_slab(k):
+    """U(k, 2k) indep is the half x(E) <= k of the unit cube: x -> 1 - x
+    swaps it with the other half."""
+    assert pyramid_volume_independent(uniform(k, 2 * k)) == Fraction(1, 2)
