@@ -483,7 +483,7 @@ def test_degree_of_a_coloop():
     assert orbit_degree(uniform(1, 1)) == (Fraction(1), 1)
 
 
-@pytest.mark.parametrize("n", [8, 9, 10, 11, 12])
+@pytest.mark.parametrize("n", range(8, 21))
 def test_permutohedron_flag_volume_past_the_oracle(n):
     """Pi_n, the flag polytope of U(n-1, n), has normalized volume n^(n-2)
     (Cayley's formula)."""
@@ -495,3 +495,91 @@ def test_independent_volume_of_the_middle_hypersimplex_slab(k):
     """U(k, 2k) indep is the half x(E) <= k of the unit cube: x -> 1 - x
     swaps it with the other half."""
     assert pyramid_volume_independent(uniform(k, 2 * k)) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_uniform_base_volumes_at_the_cap(n):
+    """U(k, n) base is the hypersimplex slice A(n-1, k-1)/(n-1)!, through
+    the one-face-per-size sum that a table depending on |S| alone takes."""
+    for k in range(1, n):
+        assert pyramid_volume_base(uniform(k, n)) == Fraction(eulerian(n - 1, k - 1), factorial(n - 1)), (k, n)
+
+
+def test_uniform_degree_at_the_cap():
+    assert orbit_degree(uniform(10, 20))[1] == eulerian(19, 9) == 37307713155613000
+
+
+def test_flag_volume_of_the_boolean_matroid_at_the_cap():
+    """U(20, 20) flag is the permutohedron of (20, 19, ..., 1), a translate of Pi_20."""
+    assert pyramid_volume_flag(uniform(20, 20)) == 20**18
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_uniform_flag_at_n8_is_a_permutohedron(k):
+    x = list(range(k, 0, -1)) + [0] * (8 - k)
+    assert pyramid_volume_flag(uniform(k, 8)) == permutohedron_volume(x)
+
+
+def record_facet_tables(monkeypatch) -> list[bytes]:
+    """The tables whose facets the general path filters, bit-parallel."""
+    import matvol.pyramid as pyramid
+
+    tables: list[bytes] = []
+    facets = pyramid._facets
+    monkeypatch.setattr(pyramid, "_facets", lambda t, cache: tables.append(t) or facets(t, cache))
+    return tables
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_symmetric_and_general_paths_agree_on_uniform_tables(n, monkeypatch):
+    """The sum over one face per size gives the general path's values on
+    every uniform base and flag table with n <= 12, and filters no facets."""
+    import matvol.pyramid as pyramid
+
+    tables = record_facet_tables(monkeypatch)
+    symmetric = {(k, route): route(uniform(k, n)) for k in range(1, n) for route in (pyramid_volume_base, pyramid_volume_flag)}
+    symmetric[n, pyramid_volume_flag] = pyramid_volume_flag(uniform(n, n))
+    assert not tables
+    monkeypatch.setattr(pyramid, "_size_profile", lambda table: None)
+    general = {(k, route): route(uniform(k, n)) for k, route in symmetric}
+    assert general == symmetric
+    assert bool(tables) == (n > 3)
+
+
+@pytest.mark.parametrize(
+    "m, degree",
+    [
+        (sparse_paving(4, 8, 1, seed=1)[0], eulerian(7, 3) - comb(6, 3)),
+        (sparse_paving(6, 12, 1, seed=1)[0], eulerian(11, 5) - comb(10, 5)),
+        (minimal_matroid(5, 12), comb(10, 4)),
+        (graphic(Graph(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))), None),
+    ],
+    ids=["SP(4,8,1)", "SP(6,12,1)", "T(5,12)", "M(K4)"],
+)
+def test_nearly_symmetric_tables_take_the_general_path(m, degree, monkeypatch):
+    """One circuit-hyperplane, or a graph, breaks the |S|-symmetry of the
+    top table, so the recursion filters facets from the top table down, and
+    its values are the general path's: the closed forms of sparse paving
+    and minimal matroids (Ferroni 2022), and the tuple formula on M(K4)."""
+    import matvol.pyramid as pyramid
+
+    tables = record_facet_tables(monkeypatch)
+    flag_table = pyramid._flag_table(m)
+    assert pyramid._size_profile(m.rank_table) is None and pyramid._size_profile(flag_table) is None
+    values = pyramid_volume_base(m), pyramid_volume_flag(m)
+    assert m.rank_table in tables and flag_table in tables
+    if degree is None:
+        assert values == (volume_base_polytope(m), volume_truncation_flag(m))
+    else:
+        assert values[0] == Fraction(degree, factorial(m.n - 1))
+    monkeypatch.setattr(pyramid, "_size_profile", lambda table: None)
+    assert (pyramid_volume_base(m), pyramid_volume_flag(m)) == values
+
+
+def test_symmetric_recursion_builds_few_minors(monkeypatch):
+    """A symmetric table's minors are again symmetric, and one of them per
+    interval of sizes is built: U(8,16) flag splits-tests at most n^2
+    distinct minors, where the general path goes over the work budget."""
+    calls = record_connectivity_calls(monkeypatch)
+    assert pyramid_volume_flag(uniform(8, 16)) > 0
+    assert 0 < len(calls["splits"]) == len(set(calls["splits"])) <= 16**2
