@@ -125,10 +125,7 @@ def mobius_subsets(values: Sequence[int], n: int) -> list[int]:
 def z_from_matroid(m: Matroid) -> ZProfile:
     """Tight GP profile of the base polytope: z_I = r - r(E-I)."""
     r = m.rank_value
-    full = m.full_mask
-    table = m.rank_table
-    values = tuple(r - table[full ^ i] for i in range(1 << m.n))
-    return ZProfile(m.n, KIND_GP, values)
+    return ZProfile(m.n, KIND_GP, tuple(r - v for v in reversed(m.rank_table)))
 
 
 def z_from_matroid_indep(m: Matroid) -> ZProfile:
@@ -163,8 +160,8 @@ def y_from_z_q(z: ZProfile) -> SignedDecomposition:
     """
     if z.kind != KIND_Q:
         raise FamilyMismatch(f"expected a Q profile, got {z.kind}")
-    full = (1 << z.n) - 1
-    g = [z.values[full] - z.values[full ^ k] for k in range(1 << z.n)]
+    top = z.values[-1]
+    g = [top - v for v in reversed(z.values)]
     y = mobius_subsets(g, z.n)
     return make_decomposition(z.n, FAMILY_D, {mask: y[mask] for mask in range(1, 1 << z.n)})
 
@@ -177,10 +174,8 @@ def z_from_y_q(d: SignedDecomposition) -> ZProfile:
     for mask, c in d.coeffs.items():
         dense[mask] = c
     acc = zeta_subsets(dense, d.n)
-    full = (1 << d.n) - 1
-    total = acc[full]
-    values = tuple(total - acc[full ^ j] for j in range(1 << d.n))
-    return ZProfile(d.n, KIND_Q, values)
+    total = acc[-1]
+    return ZProfile(d.n, KIND_Q, tuple(total - v for v in reversed(acc)))
 
 
 def _complement_keyed(m: Matroid, table: Sequence[int], family: str) -> SignedDecomposition:

@@ -1,4 +1,15 @@
-"""Exception types for matroid construction, decompositions, and geometry."""
+"""Exception types for matroid construction, decompositions, and geometry,
+and the one rule by which the volume engines cap their work.
+
+An engine that can be handed an input far past its reach counts its work in
+its own units against a fixed budget, through ``work_budget``, and raises
+``WorkBudgetExceeded`` once the count passes it, so an oversized input fails
+fast with a typed error instead of running for hours.
+"""
+
+from __future__ import annotations
+
+from typing import Callable
 
 
 class MatvolError(Exception):
@@ -43,6 +54,21 @@ class DisconnectedMatroid(MatvolError):
 
 class WorkBudgetExceeded(MatvolError):
     """A computation would do more work than its fixed budget allows."""
+
+
+def work_budget(limit: int, what: str, units: str) -> Callable[[int], None]:
+    """A counter of work: each call adds its argument, in ``units``, and the
+    call that takes the total past ``limit`` raises ``WorkBudgetExceeded``
+    saying that ``what`` needs more than ``limit`` of them."""
+    work = 0
+
+    def charge(amount: int) -> None:
+        nonlocal work
+        work += amount
+        if work > limit:
+            raise WorkBudgetExceeded(f"{what} needs more than {limit} {units}; this input is too large for it")
+
+    return charge
 
 
 class NonIntegerNormalizedVolume(MatvolError):

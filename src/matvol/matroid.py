@@ -324,13 +324,23 @@ def minor_table(table: bytes, ground: int, contracted: int) -> bytes:
     disjoint from ``ground``; the elements of ``ground`` are relabeled
     1, 2, ... in increasing order.  Values are bytes, so f must stay below
     256 and be monotone (every f(X + C) >= f(C)).
+
+    When ``ground`` is one run of bits and C lies below it, the masks
+    X + C are C, C + low, C + 2 low, ... with low the run's lowest bit, so
+    the minor is one strided slice of ``table``; any other ``ground`` is
+    gathered mask by mask.  An empty ``ground`` gives the one-entry
+    table of the empty minor.
     """
-    index = [contracted]
-    while ground:
-        bit = ground & -ground
-        ground ^= bit
-        index += [x | bit for x in index]
-    out = bytes(map(table.__getitem__, index))
+    low = ground & -ground
+    if not (ground + low) & ground and contracted < low:
+        out = table[contracted : (ground | contracted) + 1 : low]
+    else:
+        index = [contracted]
+        while ground:
+            bit = ground & -ground
+            ground ^= bit
+            index += [x | bit for x in index]
+        out = bytes(map(table.__getitem__, index))
     base = out[0]
     if base:
         out = out.translate(bytes(base) + _BYTE_VALUES[: 256 - base])  # v -> v - base
@@ -340,13 +350,12 @@ def minor_table(table: bytes, ground: int, contracted: int) -> bytes:
 def _minor(parent: Matroid, removed: int, spanning: int) -> Matroid:
     """Shared relabeling machinery for contraction and deletion.
 
-    The minor's rank of X is r(X + C) - r(C) in the parent, gathered from
-    the parent's table: contraction passes C = ``spanning`` = the contracted
-    set, deletion passes 0.  Removing the whole ground set leaves the empty
-    matroid, whose one basis is {}.
+    The minor's rank of X is r(X + C) - r(C) in the parent, read off the
+    parent's table by ``minor_table``: contraction passes C = ``spanning``
+    = the contracted set, deletion passes 0.  Removing the whole ground set
+    keeps no element, and ``minor_table`` then gives the one-entry table of
+    the empty matroid, whose one basis is {}.
     """
-    if removed == parent.full_mask:
-        return Matroid(n=0, rank_value=0, bases=frozenset({0}), parent_labels=())
     kept = parent.full_mask & ~removed
     table = minor_table(parent.rank_table, kept, spanning)
     return _from_table(kept.bit_count(), table[-1], table, elements_of(kept))

@@ -7,9 +7,12 @@ flag polytope, and for the independent set polytope the lift to one more
 element p with f(A + p) = r(E).  Each facet of P(f) is a face
 x(S) = f(S), which is the product P(f|S) x P(f/S) (Postnikov 2009,
 "Permutohedra, associahedra, and beyond"), so a pyramid from one vertex
-over every facet recurses on minors of f, read straight off the table of f.
-The recursion is all integer, and its work is capped by
-``PYRAMID_WORK_BUDGET``.  Volumes are lattice-normalized as in ``volume``,
+over every facet recurses on minors of f, read straight off the table of f
+by ``matroid.minor_table``, the one builder of a minor's table (a strided
+slice when the minor's ground set is one run of bits above the contracted
+set, as on the symmetric path, and a gather otherwise).  The recursion is
+all integer, and its work is capped by ``PYRAMID_WORK_BUDGET`` through
+``errors.work_budget``.  Volumes are lattice-normalized as in ``volume``,
 whose tuple formulas give the same values far more slowly.
 
 A P(f) whose f splits is lower-dimensional and the product of smaller
@@ -32,7 +35,7 @@ from math import comb, factorial, prod
 from typing import Callable
 
 from .bitset import popcounts
-from .errors import DimensionMismatch, DisconnectedMatroid, WorkBudgetExceeded
+from .errors import DimensionMismatch, DisconnectedMatroid, work_budget
 from .matroid import Matroid, components, is_connected, minor_table, restriction, splits
 
 PYRAMID_WORK_BUDGET = 1 << 26
@@ -43,7 +46,9 @@ vCPU under CPython 3.11, depending on how the work splits between the two.
 A table that depends on |S| alone makes no passes: there a state counts
 only its 2(k - 1) minor tables, one restriction and one contraction per set
 size s, 2^s and 2^(k - s) entries (none under four elements, which are
-written out), which comes to 6-8 times 2^n: 8.4 M units for Pi_20."""
+written out), which comes to 6-8 times 2^n: 8.4 M units for Pi_20.  Those
+minors are ``minor_table``'s strided slices, and a slice counts its length
+as a gathered table does, so the units are the same on both paths."""
 
 
 _LANE_CACHE_SIZE = 1 << 12
@@ -186,39 +191,27 @@ def _recursion(table: bytes) -> int:
     When g depends on |S| alone (``_size_profile``), so does every minor,
     and the faces of one size s are one orbit: S = [s] stands for all of
     them, with the summed height C(k, s) g_s - C(k - 1, s - 1) g_k (each
-    element is in C(k - 1, s - 1) of the sets), and its minors are slices
-    of the table.  That is decided once per input; a table that is only
-    nearly symmetric takes the general path throughout.
+    element is in C(k - 1, s - 1) of the sets).  That is decided once per
+    input; a table that is only nearly symmetric takes the general path
+    throughout.  Both paths build their minors by ``minor_table``, which
+    slices the symmetric path's: S = [s] and its complement are runs of
+    bits, the complement above S.  ``work_budget`` charges each minor's
+    length and each general state's k * 2^k lane pass.
     """
     if len(table) <= 8:
         return _small_volume(table, len(table) - 1, 0)
     symmetric = _size_profile(table) is not None
     memo: dict[bytes, int] = {}
     lane_cache: dict[int, tuple] = {}
-    work = 0
-
-    def charge(units: int) -> None:
-        nonlocal work
-        work += units
-        if work > PYRAMID_WORK_BUDGET:
-            raise WorkBudgetExceeded(
-                f"the volume recursion needs more than {PYRAMID_WORK_BUDGET} subset-table "
-                "entries; this input is too large for it"
-            )
+    charge = work_budget(PYRAMID_WORK_BUDGET, "the volume recursion", "subset-table entries")
 
     def factor(t: bytes, ground: int, contracted: int) -> int:
-        """N of the minor X -> g(X + C) - g(C) on ``ground``, C = ``contracted``;
-        on the symmetric path S = ``contracted`` or ``ground`` is an initial
-        segment, and the minor a slice of ``t``."""
+        """N of the minor X -> g(X + C) - g(C) on ``ground``, C = ``contracted``:
+        written out up to three elements, else built by ``minor_table``,
+        charged and memoized."""
         if ground.bit_count() <= 3:
             return _small_volume(t, ground, contracted)
-        if not symmetric:
-            minor = minor_table(t, ground, contracted)
-        elif contracted:  # the masks holding S, shifted down by g(S)
-            base = t[contracted]
-            minor = t[contracted :: contracted + 1].translate(bytes(base) + bytes(range(256 - base)))
-        else:
-            minor = t[: ground + 1]
+        minor = minor_table(t, ground, contracted)
         charge(len(minor))
         found = memo.get(minor)
         if found is None:

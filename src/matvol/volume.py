@@ -51,7 +51,7 @@ from .decomposition import (
     decompose_independent_polytope,
     decompose_truncation_flag,
 )
-from .errors import DimensionMismatch, DisconnectedMatroid, WorkBudgetExceeded
+from .errors import DimensionMismatch, DisconnectedMatroid, work_budget
 from .matroid import Matroid, dual, is_connected
 from .pyramid import component_product, orbit_degree, refuse_flag  # noqa: F401 -- orbit_degree is re-exported for callers that import it from here
 
@@ -210,18 +210,8 @@ def signed_tuple_sum(
     if length == 0:
         return 1
     unit = 1 << min(n, TUPLE_WORK_BUDGET.bit_length())  # 2^n, capped once past the budget
-    work = 0
-
-    def charge(transitions: int) -> None:
-        nonlocal work
-        work += transitions * unit
-        if work > TUPLE_WORK_BUDGET:
-            raise WorkBudgetExceeded(
-                f"the tuple sum needs more than {TUPLE_WORK_BUDGET} bitset bits; "
-                "this input is too large for it"
-            )
-
-    charge(n)
+    charge = work_budget(TUPLE_WORK_BUDGET, "the tuple sum", "bitset bits")
+    charge(n * unit)
     lacks = _lacks(n)
     full = (1 << n) - 1
     prefixes = {0}
@@ -236,7 +226,7 @@ def signed_tuple_sum(
     moves = [(slot[full ^ mask], c) for mask, c in support]
     states: dict[int, Any] = {1: None}  # the empty tuple matches onto the empty set
     for _ in range(length):
-        charge(len(states) * len(moves))
+        charge(len(states) * len(moves) * unit)
         grown: dict[int, Any] = {}
         for family, weight in states.items():
             parts = [(family & lack) << (1 << e) for e, lack in enumerate(lacks)]

@@ -29,6 +29,7 @@ from matvol.matroid import (
     from_bases,
     graphic,
     is_connected,
+    minor_table,
     restriction,
     truncate,
     uniform,
@@ -416,3 +417,47 @@ def test_graphic_small_shapes():
     assert graphic(Graph(1, ((1, 1),))) == uniform(0, 1)
     two_triangles = ((1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4))
     assert graphic(Graph(6, two_triangles)) == direct_sum(uniform(2, 3), uniform(2, 3))
+
+
+def _random_monotone_table(n: int, rng: random.Random) -> bytes:
+    """A random monotone set function on [n] with byte values: each set
+    takes the largest value of the sets one element smaller, plus at most
+    255 // n."""
+    table = [0] * (1 << n)
+    for x in range(1, 1 << n):
+        table[x] = max(table[x ^ (1 << e)] for e in range(n) if x >> e & 1) + rng.randint(0, 255 // n)
+    return bytes(table)
+
+
+def test_minor_table_is_its_definition():
+    """X -> f(X + C) - f(C), the elements of G relabeled 1, 2, ... in
+    order, for every disjoint (G, C): G one run of bits with C below it (a
+    strided slice), split runs, C above or inside G's span, and G empty."""
+    rng = random.Random(7)
+    shapes = set()
+    for n in range(0, 9):
+        for _ in range(2):
+            f = _random_monotone_table(n, rng)
+            for ground in range(1 << n):
+                low = ground & -ground
+                for contracted in range(1 << n):
+                    if contracted & ground:
+                        continue
+                    labels = elements_of(ground)
+                    expected = bytes(
+                        f[mask_of(labels[i] for i in range(len(labels)) if x >> i & 1) | contracted] - f[contracted]
+                        for x in range(1 << len(labels))
+                    )
+                    assert minor_table(f, ground, contracted) == expected, (n, ground, contracted)
+                    run = not (ground + low) & ground
+                    shapes.add((bool(ground), run, contracted < low))
+    assert shapes == {(False, True, False), (True, True, True), (True, True, False), (True, False, True), (True, False, False)}
+
+
+def test_removing_the_whole_ground_set_leaves_the_empty_matroid(catalog5):
+    empty = Matroid(0, 0, {0})
+    for entry in catalog5:
+        m = entry.matroid
+        for minor in (contract(m, m.full_mask), delete(m, m.full_mask)):
+            assert minor == empty, entry.name
+            assert minor.parent_labels == () and minor.rank_table == b"\x00", entry.name

@@ -583,3 +583,49 @@ def test_symmetric_recursion_builds_few_minors(monkeypatch):
     calls = record_connectivity_calls(monkeypatch)
     assert pyramid_volume_flag(uniform(8, 16)) > 0
     assert 0 < len(calls["splits"]) == len(set(calls["splits"])) <= 16**2
+
+
+def test_symmetric_path_builds_its_minors_by_minor_table(monkeypatch):
+    """``matroid.minor_table`` is the one builder of a minor's table: on
+    U(8,16) flag every minor the recursion builds comes from it, as a
+    strided slice (its ground set one run of bits above the contracted
+    set), and the value is unchanged."""
+    import matvol.pyramid as pyramid
+
+    expected = pyramid_volume_flag(uniform(8, 16))
+    built: list[tuple[int, int]] = []
+    minor_table = pyramid.minor_table
+
+    def recording(t: bytes, ground: int, contracted: int) -> bytes:
+        built.append((ground, contracted))
+        return minor_table(t, ground, contracted)
+
+    monkeypatch.setattr(pyramid, "minor_table", recording)
+    calls = record_connectivity_calls(monkeypatch)
+    assert pyramid_volume_flag(uniform(8, 16)) == expected
+    assert len(built) >= len(calls["splits"]) > 0
+    for ground, contracted in built:
+        low = ground & -ground
+        assert not (ground + low) & ground and contracted < low, (ground, contracted)
+
+
+@pytest.mark.parametrize(
+    "route, m",
+    [
+        (pyramid_volume_base, uniform(5, 12)),
+        (pyramid_volume_flag, uniform(5, 12)),
+        (pyramid_volume_base, graphic(Graph(5, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 3), (2, 4), (3, 5))))),
+    ],
+    ids=["U(5,12) base", "U(5,12) flag", "graphic 5/8 base"],
+)
+def test_recursion_refusal_wording(route, m, monkeypatch):
+    """The symmetric and the general path refuse past a lowered budget with
+    the same message."""
+    import matvol.pyramid as pyramid
+
+    monkeypatch.setattr(pyramid, "PYRAMID_WORK_BUDGET", 1 << 12)
+    with pytest.raises(matvol.WorkBudgetExceeded) as refused:
+        route(m)
+    assert str(refused.value) == (
+        "the volume recursion needs more than 4096 subset-table entries; this input is too large for it"
+    )

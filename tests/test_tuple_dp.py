@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from test_pyramid import eulerian
 from test_volume import _grouped_by_sizes
 
-from matvol.errors import WorkBudgetExceeded
+from matvol.errors import WorkBudgetExceeded, work_budget
 from matvol.matroid import Graph, graphic, uniform
 from matvol.pyramid import pyramid_volume_base, pyramid_volume_flag, pyramid_volume_independent
 from matvol.volume import (
@@ -97,3 +97,17 @@ def test_oversized_tuple_sums_raise_within_a_second():
     with pytest.raises(WorkBudgetExceeded):
         signed_tuple_sum([(0, 1)], 3, 10**11, strict=False)  # refused before any mask is built
     assert time.perf_counter() - start < 1
+
+
+def test_tuple_sum_refusal_wording():
+    with pytest.raises(WorkBudgetExceeded) as refused:
+        volume_independent_polytope(uniform(6, 12))
+    assert str(refused.value) == "the tuple sum needs more than 1073741824 bitset bits; this input is too large for it"
+
+
+def test_work_budget_refuses_the_charge_that_passes_its_limit():
+    charge = work_budget(10, "the test", "units")
+    charge(4)
+    charge(6)  # 10, at the limit
+    with pytest.raises(WorkBudgetExceeded, match="^the test needs more than 10 units; this input is too large for it$"):
+        charge(1)
