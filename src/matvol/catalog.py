@@ -8,6 +8,8 @@ can be removed without disconnecting, and an all-bridge graph is a tree,
 which loses a leaf edge instead.  Canonical forms are minimal edge lists
 over relabelings that respect a color refinement of the vertices, so the
 search never touches more permutations than the symmetry of the graph.
+The labelings that tie in that search give the graph's automorphisms, and
+a graph grows only by one new edge per orbit of them.
 """
 
 from __future__ import annotations
@@ -43,45 +45,76 @@ def _refine_colors(v: int, edges: tuple[tuple[int, int], ...]) -> list:
     return colors
 
 
-def _canonical(v: int, edges: tuple[tuple[int, int], ...]) -> CanonGraph:
+def _canonical(v: int, edges: tuple[tuple[int, int], ...]) -> tuple[CanonGraph, list[tuple[int, ...]]]:
+    """The canonical form of a multigraph and the automorphisms of that form.
+
+    The labelings that tie for the minimum differ by an automorphism, and
+    every automorphism respects the color classes, so composing each tied
+    labeling with the inverse of the first gives all of them, as tuples
+    indexed by canonical label (entry 0 unused)."""
     colors = _refine_colors(v, edges)
     classes: dict = {}
     for vertex in range(1, v + 1):
         classes.setdefault(colors[vertex], []).append(vertex)
     ordered_classes = [classes[c] for c in sorted(classes)]
     # assign consecutive label blocks per class, trying all in-class orders
-    best: CanonGraph | None = None
+    best: tuple[tuple[int, int], ...] | None = None
+    ties: list[list[int]] = []
     for perm_parts in product(*(permutations(cls) for cls in ordered_classes)):
-        label = {}
+        label = [0] * (v + 1)
         nxt = 1
         for part in perm_parts:
             for vertex in part:
                 label[vertex] = nxt
                 nxt += 1
-        relabeled = tuple(
-            sorted(tuple(sorted((label[a], label[b]))) for a, b in edges)
-        )
-        cand = (v, relabeled)
-        if best is None or cand < best:
-            best = cand
-    return best
+        ends = [(label[a], label[b]) for a, b in edges]
+        relabeled = tuple(sorted([(a, b) if a <= b else (b, a) for a, b in ends]))
+        if best is None or relabeled < best:
+            best, ties = relabeled, [label]
+        elif relabeled == best:
+            ties.append(label)
+    first = [0] * (v + 1)
+    for vertex, canon in enumerate(ties[0]):
+        first[canon] = vertex
+    return (v, best), [tuple(label[vertex] for vertex in first) for label in ties]
+
+
+def _orbit_representatives(
+    items: list[tuple[int, ...]], automorphisms: list[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """The first of each orbit of sorted vertex tuples, in the order of ``items``."""
+    seen: set[tuple[int, ...]] = set()
+    out = []
+    for item in items:
+        if item not in seen:
+            out.append(item)
+            seen.update(tuple(sorted([sigma[x] for x in item])) for sigma in automorphisms)
+    return out
 
 
 def connected_multigraphs(max_edges: int) -> list[Graph]:
-    """Canonical connected multigraphs with 1..max_edges edges, in a fixed order."""
+    """Canonical connected multigraphs with 1..max_edges edges, in a fixed order.
+
+    A graph grows by one edge per orbit of its automorphisms on vertex pairs
+    and one pendant edge per vertex orbit: one orbit's edges give isomorphic
+    graphs."""
     if max_edges < 1:
         return []
-    level: list[CanonGraph] = sorted(
-        {_canonical(2, ((1, 2),)), _canonical(1, ((1, 1),))}
-    )
+    found = dict([_canonical(2, ((1, 2),)), _canonical(1, ((1, 1),))])  # graph -> automorphisms
+    level: list[CanonGraph] = sorted(found)
     out = list(level)
     for _ in range(1, max_edges):
-        nxt: set[CanonGraph] = set()
+        nxt: dict[CanonGraph, list[tuple[int, ...]]] = {}
         for v, edges in level:
-            for i in range(1, v + 1):
-                for j in range(i, v + 1):
-                    nxt.add(_canonical(v, tuple(sorted(edges + ((i, j),)))))
-                nxt.add(_canonical(v + 1, tuple(sorted(edges + ((i, v + 1),)))))
+            automorphisms = found[v, edges]
+            pairs = [(i, j) for i in range(1, v + 1) for j in range(i, v + 1)]
+            for i, j in _orbit_representatives(pairs, automorphisms):
+                graph, auts = _canonical(v, tuple(sorted(edges + ((i, j),))))
+                nxt.setdefault(graph, auts)
+            for (i,) in _orbit_representatives([(i,) for i in range(1, v + 1)], automorphisms):
+                graph, auts = _canonical(v + 1, tuple(sorted(edges + ((i, v + 1),))))
+                nxt.setdefault(graph, auts)
+        found = nxt
         level = sorted(nxt)
         out.extend(level)
     return [Graph(v, edges) for v, edges in out]

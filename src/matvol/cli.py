@@ -9,6 +9,7 @@ exactly one generator clause::
     graph: 1-2 2-3 3-1        # edges become ground set 1..m in listed order
 
 and an optional ``rank: <int>`` that is validated against the computed rank.
+Files are UTF-8, and one leading byte-order mark is ignored.
 
 Reports are line oriented and byte-stable: subsets print sorted by
 cardinality then numeric value, and the command echo omits anything (thread
@@ -18,18 +19,32 @@ success, 1 on a verification mismatch, 2 on parse or validation errors.
 Engines load through the package's lazy modules: ``cli`` binds them at
 import without running them, and each runs on the first call a command
 makes into it, so a process loads only the parser, the matroid layer and
-the one engine its command needs.
+the one engine its command needs.  ``invariants`` and ``catalog`` are lazy
+in the same way; ``full_catalog`` stays importable from here.
+
+The input digest comes from CPython's builtin SHA-256 module (``_sha2``;
+``_sha256`` before 3.12), the lean module ``random`` also prefers:
+``hashlib`` loads OpenSSL, which takes a fresh process 3-5 ms, longer than
+a small job.  The digest is the same, and ``hashlib`` is the fallback where
+the builtin module is not built.  The builtin hashes about five times
+slower per byte, which only files of megabytes notice.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 
-from . import decomposition, invariants, pyramid, verify
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
+from . import catalog, decomposition, invariants, pyramid, verify
 from .bitset import elements_of, mask_of, subset_formatter
-from .catalog import full_catalog
 from .errors import GroundSetTooLarge, MatvolError, ParseError, RankMismatch, WorkBudgetExceeded
 from .matroid import (
     MAX_GROUND_SET, Graph, Matroid, coconnected_flats, from_bases, graphic, is_connected, uniform
@@ -191,14 +206,16 @@ def serialize_matroid(m: Matroid) -> str:
 # ---------------------------------------------------------------------------
 
 def _load(path: str) -> tuple[Matroid, str]:
+    """The matroid in a file and the SHA-256 of its raw bytes.  One leading
+    byte-order mark is dropped after decoding; error offsets count raw bytes."""
     with open(path, "rb") as fh:
         data = fh.read()
-    digest = hashlib.sha256(data).hexdigest()
+    digest = sha256(data).hexdigest()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: byte {data[exc.start]:#04x} at offset {exc.start}") from None
-    return parse_matroid_file(text), digest
+    return parse_matroid_file(text.removeprefix("\ufeff")), digest
 
 
 def cmd_decompose(args) -> Report:
@@ -268,7 +285,7 @@ def cmd_verify(args) -> Report:
                 f"and the catalog up to --max-n {max_n} holds larger ones"
             )
         command = f"verify --catalog --max-n {max_n}"
-        targets = [(e.name, e.matroid) for e in full_catalog(max_n)]
+        targets = [(e.name, e.matroid) for e in catalog.full_catalog(max_n)]
         digest = None
     else:
         if args.file is None:
@@ -294,6 +311,13 @@ def cmd_verify(args) -> Report:
             return report
     report.lines.append(f"OK ({total} checks)")
     return report
+
+
+def __getattr__(name: str):
+    """``full_catalog`` resolves on first use, so ``catalog`` runs only then."""
+    if name == "full_catalog":
+        return catalog.full_catalog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from itertools import combinations, compress
 from operator import add
 from typing import Iterable, NamedTuple
 
+from . import invariants  # lazy: runs on coconnected_flats' first call, never in a build
 from .bitset import elements_of, lacking_masks, mask_of, set_bits, subset_sort_key
 from .errors import (
     EmptyBasisFamily,
@@ -47,7 +48,6 @@ from .errors import (
     InvalidUniformParams,
     UnequalCardinality,
 )
-from .invariants import signed_beta_contractions
 
 MAX_GROUND_SET = 20
 
@@ -460,5 +460,5 @@ def coconnected_flats(m: Matroid) -> list[int]:
     M/A, hence the support of the base polytope decomposition, which is how
     they are found: one superset transform instead of 2^n contractions.
     """
-    table = signed_beta_contractions(m)  # zero at A = E
+    table = invariants.signed_beta_contractions(m)  # zero at A = E
     return sorted(compress(range(len(table)), table), key=subset_sort_key)

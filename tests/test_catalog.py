@@ -1,4 +1,7 @@
+import hashlib
+
 from matvol.catalog import connected_multigraphs
+from matvol.cli import serialize_matroid
 from matvol.matroid import from_bases, graphic, is_connected, uniform
 
 
@@ -70,3 +73,17 @@ def test_catalog_has_connected_and_disconnected(catalog6):
 def test_no_multigraphs_below_one_edge():
     assert connected_multigraphs(0) == []
     assert connected_multigraphs(-3) == []
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_catalog_lists_are_frozen(catalog6):
+    """Digests of the lists a search over every vertex pair gave, before
+    graphs grew by automorphism orbits only."""
+    graphs = [(g.vertices, g.edges) for g in connected_multigraphs(7)]
+    assert len(graphs) == 1681
+    assert _sha256(graphs) == "8867882295775a2c68a75b8b119a616e4250962a1ba5c4682dc32baeae804011"
+    entries = [(e.name, serialize_matroid(e.matroid)) for e in catalog6]
+    assert _sha256(entries) == "af28d5e950f4505f038344ff1da921b3210806c63be588dd44386ee5a5d1fccb"

@@ -262,6 +262,31 @@ def test_non_utf8_file_is_parse_error(tmp_path, capsys):
         assert err == "error: not UTF-8 text: byte 0xff at offset 16\n"
 
 
+def test_byte_order_mark_parses_like_the_file_without_it(tmp_path, capsys):
+    """One leading U+FEFF is dropped after decoding, and the digest is still
+    taken over the raw bytes; a second mark is an ordinary character."""
+    bom = "\ufeff"
+    plain = write(tmp_path, "plain.matroid", PYRAMID_TEXT)
+    marked = tmp_path / "marked.matroid"
+    marked.write_bytes((bom + PYRAMID_TEXT).encode())
+    marked = str(marked)
+    for argv in (["decompose"], ["volume", "--polytope", "indep"], ["invariants"], ["verify"]):
+        code, expected, _ = run(capsys, [argv[0], plain, *argv[1:]])
+        assert code == 0
+        code, out, err = run(capsys, [argv[0], marked, *argv[1:]])
+        assert (code, err) == (0, "")
+        assert out == expected.replace(digest(PYRAMID_TEXT), digest(bom + PYRAMID_TEXT))
+    twice = tmp_path / "twice.matroid"
+    twice.write_bytes((2 * bom + PYRAMID_TEXT).encode())
+    code, _, err = run(capsys, ["decompose", str(twice)])
+    assert code == 2
+    assert err == "error: line 1: unknown key '\\ufeffn'\n"
+    latin1 = tmp_path / "marked-latin1.matroid"
+    latin1.write_bytes(bom.encode() + b"n: 3\nbases: 1,2 \xff\n")
+    code, _, err = run(capsys, ["decompose", str(latin1)])
+    assert err == "error: not UTF-8 text: byte 0xff at offset 19\n"
+
+
 def test_exit_code_on_flag_volume_of_loopy_matroid(tmp_path, capsys):
     path = write(tmp_path, "loopy.matroid", "n: 2\nbases: 1\n")
     code, _, err = run(capsys, ["volume", path, "--polytope", "flag"])

@@ -2,6 +2,7 @@
 engine only when a command runs it."""
 
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -58,21 +59,31 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(matvol, "no_such_name")
 
 
-def _loaded_engines(script: str) -> list[str]:
-    """Engines whose code has run after ``script`` in a fresh interpreter.
-    Every module stays listed in sys.modules, as an unexecuted lazy module
-    until first use, so tools that look modules up by name find all of them."""
-    code = (
-        f"import sys, types\n{script}\n"
-        f"engines = [sys.modules['matvol.' + e] for e in {ENGINES!r}]\n"
-        f"print(' '.join(e for e, m in zip({ENGINES!r}, engines) if type(m) is types.ModuleType))"
-    )
+def _child(code: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter that imports this matvol."""
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC},
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
+    return proc.stdout
+
+
+def _loaded_engines(script: str, modules: tuple[str, ...] = ENGINES) -> list[str]:
+    """Those of ``modules`` whose code has run after ``script`` in a fresh
+    interpreter.  Every module stays listed in sys.modules, as an unexecuted
+    lazy module until first use, so tools that look modules up by name find
+    all of them."""
+    code = (
+        f"import sys, types\n{script}\n"
+        f"engines = [sys.modules['matvol.' + e] for e in {modules!r}]\n"
+        f"print(' '.join(e for e, m in zip({modules!r}, engines) if type(m) is types.ModuleType))"
+    )
+    return _child(code).split()
+
+
+def _main_script(argv: list[str]) -> str:
+    return f"import io, contextlib, matvol.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n    assert matvol.cli.main({argv!r}) == 0"
 
 
 def test_cli_import_runs_no_engine():
@@ -93,5 +104,52 @@ def test_each_command_runs_only_its_engine(tmp_path, argv, engines):
     path = tmp_path / "u24.matroid"
     path.write_text("n: 4\nuniform: 2 4\n")
     argv = [argv[0], str(path), *argv[1:]]
-    script = f"import io, contextlib, matvol.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n    assert matvol.cli.main({argv!r}) == 0"
-    assert _loaded_engines(script) == engines
+    assert _loaded_engines(_main_script(argv)) == engines
+
+
+BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+LEAN = ("catalog", "invariants")  # modules no volume job runs
+
+
+def test_cli_import_runs_neither_catalog_nor_invariants_nor_openssl():
+    assert _loaded_engines("import matvol.cli", LEAN) == []
+    if BUILTIN_SHA256:
+        added = _child(
+            "import sys\nbefore = set(sys.modules)\nimport matvol.cli\n"
+            "print(' '.join(sorted({'hashlib', '_hashlib'} & (set(sys.modules) - before))))"
+        )
+        assert added.split() == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["volume"], ["volume", "--polytope", "indep"], ["volume", "--polytope", "flag"], ["volume", "--degree"]],
+)
+def test_volume_runs_neither_catalog_nor_invariants(tmp_path, argv):
+    path = tmp_path / "u24.matroid"
+    path.write_text("n: 4\nuniform: 2 4\n")
+    assert _loaded_engines(_main_script([argv[0], str(path), *argv[1:]]), LEAN) == []
+
+
+@pytest.mark.parametrize(
+    "argv", [["volume", "--degree"], ["volume", "--polytope", "flag"], ["decompose", "--polytope", "indep"]]
+)
+def test_hashlib_fallback_prints_the_same_report(tmp_path, argv):
+    path = tmp_path / "pyramid.matroid"
+    path.write_text("n: 4\nbases: 1,2 1,3 1,4 2,3 2,4\n")
+    argv = [argv[0], str(path), *argv[1:]]
+    run = f"import matvol.cli\nassert matvol.cli.main({argv!r}) == 0"
+    blocked = 'import sys\nsys.modules["_sha2"] = sys.modules["_sha256"] = None\n'
+    uses_hashlib = "\nimport hashlib\nassert matvol.cli.sha256 is hashlib.sha256"
+    builtin, fallback = _child(run), _child(blocked + run + uses_hashlib)
+    assert builtin.startswith("# command: ") and "# input: sha256:" in builtin
+    assert fallback == builtin
+
+
+def test_full_catalog_resolves_through_cli():
+    import matvol.catalog
+    import matvol.cli
+
+    assert matvol.cli.full_catalog is matvol.catalog.full_catalog
+    with pytest.raises(AttributeError, match="no_such_name"):
+        matvol.cli.no_such_name
