@@ -50,6 +50,11 @@ computes none.  Each facet's mask comes from one scan of the points, so the
 double description and the incidence scan run at most once per polytope,
 and the vertex test reads the same masks.
 
+Dimension 0 needs no branch in either.  A point of Z^0 is the 0-simplex:
+one point is d + 1 points, and the determinant of the empty matrix is 1.
+Its double description starts from the one-row cone of (-1,), whose only
+ray is the trivial inequality 0 <= b.
+
 An exhaustive hyperplane-enumeration facet finder is kept alongside as an
 independent cross-check for small inputs.
 """
@@ -190,14 +195,14 @@ def dd_facets(points: Sequence[Vec]) -> list[Facet]:
     """Facet inequalities a.x <= b of a full-dimensional conv(points).
 
     Normals come out primitive and the list is sorted; raises if the input
-    is not full-dimensional in its ambient space.
+    is not full-dimensional in its ambient space.  A point of Z^0 has no
+    facets: the only ray of its cone is the trivial 0 <= b, which the final
+    filter drops.
     """
     pts = sorted(set(points))
     if not pts:
         raise ValueError("dd_facets needs a full-dimensional point set")
     d = len(pts[0])
-    if d == 0:
-        return []
     basis = _greedy_affine_basis(pts)
     if len(basis) != d + 1:
         raise ValueError("dd_facets needs a full-dimensional point set")
@@ -320,13 +325,13 @@ def normalized_volume(points: Sequence[Vec]) -> Fraction:
 
     It is the first call of ``_volume_rec``, whose facets are a generator
     that runs the double description when first read, so a hull that needs
-    no facets (d <= 2, a simplex) computes none.  A result of 0 raises
-    ValueError: the point set is not full-dimensional.  A lower-dimensional
-    set of d >= 3 that is not a simplex raises from ``dd_facets`` instead.
+    no facets (d <= 2, a simplex) computes none.  A point of Z^0 is the
+    0-simplex, of volume 1: the simplex branch measures it as |det| of the
+    empty matrix.  A result of 0 raises ValueError: the point set is not
+    full-dimensional.  A lower-dimensional set of d >= 3 that is not a
+    simplex raises from ``dd_facets`` instead.
     """
     pts = tuple(sorted(set(points)))
-    if pts and not pts[0]:
-        return Fraction(1)
     facets = (f for p in (pts,) for f in _facet_masks(p, dd_facets(p)))  # runs when first read
     n = _volume_rec(pts, facets, {}) if pts else 0
     if not n:

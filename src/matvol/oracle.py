@@ -193,12 +193,9 @@ def minkowski_sum_vertices(v1: VertexSet, v2: VertexSet) -> VertexSet:
     return _vertex_set(v1.n, (p for p, keep in zip(sums, flags) if keep))
 
 
-def simplex_vertices(n: int, mask: int, coned: bool = False) -> VertexSet:
-    """Unit coordinate simplex on the elements of ``mask``; with the origin
-    appended this is the coned variant."""
+def simplex_vertices(n: int, mask: int) -> VertexSet:
+    """The unit coordinate simplex conv{e_i : i in ``mask``} in Z^n."""
     pts = [tuple(1 if i == e else 0 for i in range(n)) for e in range(n) if mask >> e & 1]
-    if coned:
-        pts.append((0,) * n)
     return _vertex_set(n, pts)
 
 

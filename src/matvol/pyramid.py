@@ -22,9 +22,10 @@ over the components of M for both routes, and the flag table and the
 lifted table of a loopless M never split.  The recursion tests only the
 minors it builds.
 
-The recursion is kept apart from ``volume``: a process that imports the
-package from source keeps the compiler's memory for its largest module
-resident, so one large module costs memory in every such process.
+The recursion is kept apart from ``volume``, whose tuple formulas no CLI
+command but ``verify`` runs, so a ``matvol volume`` job executes this
+module and no other engine, as
+``tests/test_imports.py::test_each_command_runs_only_its_engine`` pins.
 """
 
 from __future__ import annotations

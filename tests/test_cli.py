@@ -524,3 +524,10 @@ def test_verify_catalog_header_names_the_default_depth(capsys):
     assert code == 0 and out.startswith("# command: verify --catalog --max-n 2\n")
     code, out, _ = run(capsys, ["verify", "--catalog"])
     assert code == 0 and out.splitlines() == ["# command: verify --catalog --max-n 5", "OK (368 checks)"]
+
+
+def test_verify_without_a_file_or_catalog_exits_2(capsys):
+    code, out, err = run(capsys, ["verify"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: verify needs a matroid file unless --catalog is given\n"

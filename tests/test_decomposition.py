@@ -264,3 +264,27 @@ def test_profile_validation():
         ZProfile(2, "bad", (0, 0, 0, 0))
     with pytest.raises(FamilyMismatch):
         y_from_z_gp(ZProfile(2, KIND_Q, (0, 0, 0, 0)))
+
+
+def test_profile_of_the_wrong_length_is_refused():
+    with pytest.raises(ValueError, match="^profile needs 4 values, got 3$"):
+        ZProfile(2, KIND_GP, (0, 0, 0))
+
+
+def test_unknown_summand_family_is_refused():
+    with pytest.raises(ValueError, match="^unknown summand family 'Q'$"):
+        SignedDecomposition(2, "Q", {0b01: 1})
+
+
+def test_transforms_refuse_the_other_family():
+    with pytest.raises(FamilyMismatch, match="^expected a Delta decomposition, got D$"):
+        z_from_y_gp(cone(2, {0b11: 1}))
+    with pytest.raises(FamilyMismatch, match="^expected a Q profile, got GP$"):
+        y_from_z_q(ZProfile(2, KIND_GP, (0, 1, 1, 1)))
+    with pytest.raises(FamilyMismatch, match="^expected a D decomposition, got Delta$"):
+        z_from_y_q(delta(2, {0b11: 1}))
+
+
+def test_support_function_refuses_a_direction_of_the_wrong_length():
+    with pytest.raises(ValueError, match="^direction has length 2, expected 3$"):
+        support_function(decompose_base_polytope(U23), [1, 0])

@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import gcd
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -255,3 +256,15 @@ def test_echelon_against_fraction_elimination_and_minors(rows):
             assert gcd(*ray) == 1
             dots = [sum(a * b for a, b in zip(row, ray)) for row in basis]
             assert dots[j] < 0 and not any(dots[:j] + dots[j + 1 :])
+
+
+def test_a_point_of_z0_has_no_facets():
+    """Dimension 0 takes the general path: the double description's only
+    ray is the trivial 0 <= b, which the final filter drops."""
+    assert dd_facets([()]) == []
+
+
+@pytest.mark.parametrize("points", [[(0, 0), (1, 1)], [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]])
+def test_dd_facets_refuses_a_lower_dimensional_point_set(points):
+    with pytest.raises(ValueError, match="^dd_facets needs a full-dimensional point set$"):
+        dd_facets(points)

@@ -461,3 +461,28 @@ def test_removing_the_whole_ground_set_leaves_the_empty_matroid(catalog5):
         for minor in (contract(m, m.full_mask), delete(m, m.full_mask)):
             assert minor == empty, entry.name
             assert minor.parent_labels == () and minor.rank_table == b"\x00", entry.name
+
+
+def test_graph_edge_outside_the_vertex_range_is_refused():
+    with pytest.raises(ValueError, match=re.escape("edge (1,3) outside vertex range 1..2")):
+        Graph(2, ((1, 2), (1, 3)))
+
+
+def test_matroid_fields_can_be_neither_assigned_nor_deleted(pyramid):
+    with pytest.raises(AttributeError, match="^cannot assign to field 'n': matroids are immutable$"):
+        pyramid.n = 5
+    with pytest.raises(AttributeError, match="^cannot delete field 'bases': matroids are immutable$"):
+        del pyramid.bases
+    assert pyramid == from_bases(4, PYRAMID_BASES)
+
+
+def test_from_bases_refuses_an_empty_ground_set_and_stray_elements():
+    with pytest.raises(ValueError, match="^ground set must have at least one element, got n=0$"):
+        from_bases(0, [0])
+    with pytest.raises(ValueError, match=re.escape("basis mask 4 has elements outside 1..2")):
+        from_bases(2, [0b01, 0b100])
+
+
+def test_direct_sum_past_the_ground_set_cap_is_refused():
+    with pytest.raises(GroundSetTooLarge, match="^direct sum has 21 > 20 elements$"):
+        direct_sum(uniform(1, 11), uniform(1, 10))

@@ -310,3 +310,13 @@ def test_standard_volume_of_the_empty_point_set_is_a_dimension_mismatch():
     """At n = 0 the empty set has affine rank 0 = n, yet it spans nothing."""
     with pytest.raises(DimensionMismatch, match="^standard-lattice volume needs a full-dimensional point set$"):
         volume_exact(VertexSet(0, ()), LatticeFrame.STANDARD)
+
+
+def test_minkowski_sum_of_different_ambient_dimensions_is_refused():
+    with pytest.raises(DimensionMismatch, match="^ambient dimensions differ: 2 vs 3$"):
+        minkowski_sum_vertices(simplex_vertices(2, 0b11), simplex_vertices(3, 0b111))
+
+
+def test_volume_exact_refuses_an_unknown_frame():
+    with pytest.raises(ValueError, match="^unknown lattice frame 'root'$"):
+        volume_exact(vertices_indep(U23), "root")

@@ -13,7 +13,7 @@ from matvol.decomposition import (
     decompose_independent_polytope,
     make_decomposition,
 )
-from matvol.errors import DisconnectedMatroid
+from matvol.errors import DimensionMismatch, DisconnectedMatroid
 from matvol.matroid import direct_sum, dual, from_bases, is_connected, uniform
 from matvol.pyramid import pyramid_volume_independent
 from matvol.volume import (
@@ -349,3 +349,22 @@ def test_tuple_volumes_past_the_oracle_cap_equal_the_recursion():
     assert volume_independent_polytope(m) == pyramid_volume_independent(m) == Fraction(331, 360)
     m = uniform(3, 7)
     assert volume_truncation_flag(m) == pyramid_volume_flag(m) == Fraction(1727, 30)
+
+
+@pytest.mark.parametrize(
+    "checker, length",
+    [
+        (dragon_marriage, 2),
+        (dragon_marriage_intersection_bounds, 2),
+        (sdr_condition, 3),
+        (sdr_condition_intersection_bounds, 3),
+    ],
+)
+def test_condition_checkers_refuse_a_tuple_of_the_wrong_length(checker, length):
+    with pytest.raises(ValueError, match=f"^expected {length} subsets, got 1$"):
+        checker((0,), 3)
+
+
+def test_signed_sum_on_an_empty_ground_set_is_refused():
+    with pytest.raises(DimensionMismatch, match="^signed sums need an ambient ground set$"):
+        volume_signed_sum(make_decomposition(0, FAMILY_DELTA, {}))
