@@ -1,5 +1,9 @@
 """Deterministic test catalog: uniforms, small graphic matroids, and duals.
 
+Each matroid is listed once: the catalog dedupes by ``Matroid`` equality
+(ground set size and bases), so isomorphic but differently labeled
+matroids stay apart and equal ones built by different routes merge.
+
 The multigraph generator enumerates one canonical representative per
 isomorphism class of connected multigraphs (loops and parallel edges
 allowed) with up to a given number of edges.  Graphs grow one edge at a
@@ -121,25 +125,17 @@ def connected_multigraphs(max_edges: int) -> list[Graph]:
 
 
 def full_catalog(max_n: int) -> list[CatalogEntry]:
-    """Uniform and small graphic matroids plus all their duals, deduplicated."""
-    entries: list[CatalogEntry] = []
-    seen: set[tuple[int, frozenset[int]]] = set()
+    """Every uniform matroid and the graphic matroid of every connected
+    multigraph on at most ``max_n`` elements, then the duals of all of
+    them, each matroid once.
 
-    def push(name: str, m: Matroid):
-        key = (m.n, m.bases)
-        if key not in seen:
-            seen.add(key)
-            entries.append(CatalogEntry(name, m))
-
-    primal: list[CatalogEntry] = []
-    for n in range(1, max_n + 1):
-        for k in range(n + 1):
-            primal.append(CatalogEntry(f"uniform-{k}-{n}", uniform(k, n)))
-    for idx, g in enumerate(connected_multigraphs(max_n)):
-        primal.append(CatalogEntry(f"graphic-{len(g.edges)}e-{idx}", graphic(g)))
-
-    for entry in primal:
-        push(entry.name, entry.matroid)
-    for entry in primal:
-        push(f"dual-{entry.name}", dual(entry.matroid))
-    return entries
+    Identity is ``Matroid`` equality (ground set size and bases), so a
+    matroid keeps the name of its first entry: a graphic matroid that is
+    uniform is listed as the uniform one, and a dual that is already
+    listed is dropped."""
+    primal = [(f"uniform-{k}-{n}", uniform(k, n)) for n in range(1, max_n + 1) for k in range(n + 1)]
+    primal += [(f"graphic-{len(g.edges)}e-{idx}", graphic(g)) for idx, g in enumerate(connected_multigraphs(max_n))]
+    names: dict[Matroid, str] = {}
+    for name, m in primal + [(f"dual-{name}", dual(m)) for name, m in primal]:
+        names.setdefault(m, name)
+    return [CatalogEntry(name, m) for m, name in names.items()]

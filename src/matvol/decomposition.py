@@ -16,6 +16,12 @@ each one call of ``bitset.fold_subsets``: n big-int passes over 2^n packed
 lanes.  Profiles are accepted as raw data:
 for non-tight right-hand sides the transform output is still well defined
 but has no geometric meaning, which is the caller's responsibility.
+
+A decomposition is the nonzero part of one dense 2^n-entry table indexed by
+summand mask: ``_sparse`` reads it off the table and ``_dense`` writes it
+back, and ``_flip`` is the one complement map t'[K] = t[E] - t[E - K]
+between the GP and Q sides.  A contraction table indexed by A, reversed,
+is indexed by the summand E - A.
 """
 
 from __future__ import annotations
@@ -122,10 +128,35 @@ def mobius_subsets(values: Sequence[int], n: int) -> list[int]:
     return fold_subsets(values, n, operator.sub)
 
 
+def _sparse(n: int, family: str, table: Sequence[int]) -> SignedDecomposition:
+    """The decomposition of a dense table's nonzero entries, keyed by mask.
+
+    Entry 0 of every table read here is 0: z on the empty set by
+    ``ZProfile``, g on the empty set as z_E - z_E, and a contraction table's
+    entry for E as the invariant of the empty minor M/E.  A nonzero entry 0
+    is refused by ``SignedDecomposition``, not dropped.
+    """
+    return SignedDecomposition(n, family, {mask: table[mask] for mask in compress(range(len(table)), table)})
+
+
+def _dense(d: SignedDecomposition) -> list[int]:
+    """The 2^n-entry table of a decomposition's coefficients, 0 off its support."""
+    dense = [0] * (1 << d.n)
+    for mask, c in d.coeffs.items():
+        dense[mask] = c
+    return dense
+
+
+def _flip(table: Sequence[int]) -> list[int]:
+    """t'[K] = t[E] - t[E - K], which is its own inverse; it turns a rank
+    table into the GP profile and swaps the Q profile with its
+    complement-keyed GP form."""
+    return [table[-1] - v for v in reversed(table)]
+
+
 def z_from_matroid(m: Matroid) -> ZProfile:
     """Tight GP profile of the base polytope: z_I = r - r(E-I)."""
-    r = m.rank_value
-    return ZProfile(m.n, KIND_GP, tuple(r - v for v in reversed(m.rank_table)))
+    return ZProfile(m.n, KIND_GP, tuple(_flip(m.rank_table)))
 
 
 def z_from_matroid_indep(m: Matroid) -> ZProfile:
@@ -137,18 +168,14 @@ def y_from_z_gp(z: ZProfile) -> SignedDecomposition:
     """Moebius inversion of a GP profile into Delta summand coefficients."""
     if z.kind != KIND_GP:
         raise FamilyMismatch(f"expected a GP profile, got {z.kind}")
-    y = mobius_subsets(z.values, z.n)
-    return make_decomposition(z.n, FAMILY_DELTA, {mask: y[mask] for mask in range(1, 1 << z.n)})
+    return _sparse(z.n, FAMILY_DELTA, mobius_subsets(z.values, z.n))
 
 
 def z_from_y_gp(d: SignedDecomposition) -> ZProfile:
     """Zeta transform of Delta summand coefficients back to the GP profile."""
     if d.family != FAMILY_DELTA:
         raise FamilyMismatch(f"expected a Delta decomposition, got {d.family}")
-    dense = [0] * (1 << d.n)
-    for mask, c in d.coeffs.items():
-        dense[mask] = c
-    return ZProfile(d.n, KIND_GP, tuple(zeta_subsets(dense, d.n)))
+    return ZProfile(d.n, KIND_GP, tuple(zeta_subsets(_dense(d), d.n)))
 
 
 def y_from_z_q(z: ZProfile) -> SignedDecomposition:
@@ -160,29 +187,14 @@ def y_from_z_q(z: ZProfile) -> SignedDecomposition:
     """
     if z.kind != KIND_Q:
         raise FamilyMismatch(f"expected a Q profile, got {z.kind}")
-    top = z.values[-1]
-    g = [top - v for v in reversed(z.values)]
-    y = mobius_subsets(g, z.n)
-    return make_decomposition(z.n, FAMILY_D, {mask: y[mask] for mask in range(1, 1 << z.n)})
+    return _sparse(z.n, FAMILY_D, mobius_subsets(_flip(z.values), z.n))
 
 
 def z_from_y_q(d: SignedDecomposition) -> ZProfile:
     """Forward Q transform: z_J counts summands meeting J, with multiplicity."""
     if d.family != FAMILY_D:
         raise FamilyMismatch(f"expected a D decomposition, got {d.family}")
-    dense = [0] * (1 << d.n)
-    for mask, c in d.coeffs.items():
-        dense[mask] = c
-    acc = zeta_subsets(dense, d.n)
-    total = acc[-1]
-    return ZProfile(d.n, KIND_Q, tuple(total - v for v in reversed(acc)))
-
-
-def _complement_keyed(m: Matroid, table: Sequence[int], family: str) -> SignedDecomposition:
-    """The nonzero entries of a contraction table, table[A] keyed by E - A."""
-    full = m.full_mask
-    coeffs = {full ^ a: table[a] for a in compress(range(full), table)}
-    return SignedDecomposition(m.n, family, coeffs)
+    return ZProfile(d.n, KIND_Q, tuple(_flip(zeta_subsets(_dense(d), d.n))))
 
 
 def decompose_base_polytope(m: Matroid) -> SignedDecomposition:
@@ -191,7 +203,7 @@ def decompose_base_polytope(m: Matroid) -> SignedDecomposition:
     The coefficient of the summand on E-A is the signed beta invariant of
     M/A; it is nonzero exactly on the coconnected flats A.
     """
-    return _complement_keyed(m, signed_beta_contractions(m), FAMILY_DELTA)
+    return _sparse(m.n, FAMILY_DELTA, signed_beta_contractions(m)[::-1])
 
 
 def decompose_independent_polytope(m: Matroid) -> SignedDecomposition:
@@ -200,7 +212,7 @@ def decompose_independent_polytope(m: Matroid) -> SignedDecomposition:
     Same coefficients as the base polytope decomposition, on the coned
     family.
     """
-    return _complement_keyed(m, signed_beta_contractions(m), FAMILY_D)
+    return _sparse(m.n, FAMILY_D, signed_beta_contractions(m)[::-1])
 
 
 def decompose_truncation_flag(m: Matroid) -> SignedDecomposition:
@@ -210,7 +222,7 @@ def decompose_truncation_flag(m: Matroid) -> SignedDecomposition:
     M/I; coefficient-wise this equals the sum of the base polytope
     decompositions of all truncations of M.
     """
-    return _complement_keyed(m, signed_gamma_contractions(m), FAMILY_DELTA)
+    return _sparse(m.n, FAMILY_DELTA, signed_gamma_contractions(m)[::-1])
 
 
 def add(d1: SignedDecomposition, d2: SignedDecomposition) -> SignedDecomposition:

@@ -485,10 +485,11 @@ def test_invariants_report_matches_the_library(tmp_path, capsys, catalog5):
         ("n: 3\nbases: -1,2\n", [], "line 2: element -1 outside 1..3"),
         ("n: 3\nbases: 1,4\n", [], "line 2: element 4 outside 1..3"),
         ("n: 3\nbases: 1,1\n", [], "line 2: repeated element in basis '1,1'"),
+        ("n: 3\nbases:\n", [], "line 2: bases clause needs at least one basis"),
     ],
     ids=["non-integer", "repeated-element", "uniform-arity", "empty-graph", "edge-shape", "vertex-zero",
          "threads", "empty-label", "lone-label", "label-zero", "label-negative", "label-past-n",
-         "label-twice"],
+         "label-twice", "empty-bases"],
 )
 def test_grammar_and_option_refusals_exit_2(tmp_path, capsys, text, argv, message):
     """Each malformed file or option value exits 2 with empty stdout, and

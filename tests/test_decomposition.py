@@ -25,8 +25,8 @@ from matvol.decomposition import (
     z_from_y_q,
 )
 from matvol.errors import FamilyMismatch
-from matvol.invariants import beta
-from matvol.matroid import from_bases, is_connected, truncate, uniform
+from matvol.invariants import beta, signed_beta, signed_gamma
+from matvol.matroid import contract, from_bases, is_connected, truncate, uniform
 
 PYRAMID = from_bases(4, [0b0011, 0b0101, 0b1001, 0b0110, 0b1010])
 U23 = uniform(2, 3)
@@ -177,6 +177,22 @@ def test_decompose_flag_examples():
     assert decompose_truncation_flag(m) == delta(3, {0b111: 1, 0b110: 1, 0b001: 1})
     assert decompose_truncation_flag(uniform(1, 4)) == delta(4, {0b1111: 1})
     assert decompose_truncation_flag(U23) == delta(3, {0b011: 1, 0b101: 1, 0b110: 1})
+
+
+def test_each_coefficient_is_the_invariant_of_its_contraction(catalog5):
+    """The summand on E - A carries signed beta (base, indep) or signed
+    gamma (flag) of M/A, one contraction at a time; A = E, the empty
+    summand, has the empty minor's invariant 0 and is never a key."""
+    for entry in catalog5:
+        m = entry.matroid
+        base, indep, flag = (decompose_base_polytope(m), decompose_independent_polytope(m),
+                             decompose_truncation_flag(m))
+        assert all(0 not in d.coeffs for d in (base, indep, flag)), entry.name
+        for a in range(1 << m.n):
+            minor, summand = contract(m, a), m.full_mask ^ a
+            assert base.coeffs.get(summand, 0) == signed_beta(minor), (entry.name, a)
+            assert indep.coeffs.get(summand, 0) == signed_beta(minor), (entry.name, a)
+            assert flag.coeffs.get(summand, 0) == signed_gamma(minor), (entry.name, a)
 
 
 def test_flag_equals_truncation_sum(catalog5):

@@ -486,3 +486,21 @@ def test_from_bases_refuses_an_empty_ground_set_and_stray_elements():
 def test_direct_sum_past_the_ground_set_cap_is_refused():
     with pytest.raises(GroundSetTooLarge, match="^direct sum has 21 > 20 elements$"):
         direct_sum(uniform(1, 11), uniform(1, 10))
+
+
+def test_equal_matroids_from_different_routes_are_one_catalog_key():
+    """``full_catalog`` dedupes by ``Matroid`` equality: U(2,3) built five
+    ways compares equal, hashes equal and is one dict key, although the
+    derived ones carry parent labels and the others do not."""
+    routes = [
+        uniform(2, 3),
+        from_bases(3, [0b011, 0b101, 0b110]),
+        graphic(Graph(3, ((1, 2), (2, 3), (1, 3)))),
+        contract(uniform(3, 4), 0b1000),
+        restriction(uniform(2, 4), 0b0111),
+    ]
+    assert len({m.parent_labels for m in routes}) == 2
+    assert all(m == routes[0] and hash(m) == hash(routes[0]) for m in routes)
+    assert len(dict.fromkeys(routes)) == 1
+    assert uniform(2, 3) != (3, 2, uniform(2, 3).bases)
+    assert repr(uniform(1, 2)) == "Matroid(n=2, rank_value=1, bases=frozenset({1, 2}))"
