@@ -91,17 +91,18 @@ class SignedDecomposition(_DecompositionFields):
         return super().__new__(cls, n, family, coeffs)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, SignedDecomposition):
-            return NotImplemented
+        """Equal only to another decomposition: a plain tuple of the same
+        fields is not one, from either side, since Python tries this
+        subclass's method first."""
         return (
-            self.n == other.n
+            isinstance(other, SignedDecomposition)
+            and self.n == other.n
             and self.family == other.family
             and dict(self.coeffs) == dict(other.coeffs)
         )
 
     def __ne__(self, other) -> bool:
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
+        return not self.__eq__(other)
 
     def sorted_items(self) -> list[tuple[int, int]]:
         """The (mask, coefficient) pairs in ``subset_sort_key`` order: by

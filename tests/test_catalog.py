@@ -1,6 +1,6 @@
 import hashlib
 
-from matvol.catalog import connected_multigraphs
+from matvol.catalog import connected_multigraphs, full_catalog
 from matvol.cli import serialize_matroid
 from matvol.matroid import from_bases, graphic, is_connected, uniform
 
@@ -87,3 +87,27 @@ def test_catalog_lists_are_frozen(catalog6):
     assert _sha256(graphs) == "8867882295775a2c68a75b8b119a616e4250962a1ba5c4682dc32baeae804011"
     entries = [(e.name, serialize_matroid(e.matroid)) for e in catalog6]
     assert _sha256(entries) == "af28d5e950f4505f038344ff1da921b3210806c63be588dd44386ee5a5d1fccb"
+
+
+def test_catalog_lists_past_n_7_are_frozen():
+    """Digests of the lists every child's canonicalization gave, before
+    graphs grew by canonical augmentation."""
+    graphs = [(g.vertices, g.edges) for g in connected_multigraphs(8)]
+    assert len(graphs) == 6460
+    assert _sha256(graphs) == "0448a5238e2647df916dfec719303edb626d24357bc9d1e31bae281cab5d5b39"
+    entries = [(e.name, serialize_matroid(e.matroid)) for e in full_catalog(7)]
+    assert len(entries) == 1309
+    assert _sha256(entries) == "9267564bb4134c5a7a946d5b9982d9a94de61c1a5f29e1b4ff1baf7c6a07d034"
+
+
+def test_each_class_grows_from_one_parent():
+    """Every child that survives canonical augmentation is a new class, so
+    no class is canonicalized twice only to be dropped as a repeat."""
+    from matvol.catalog import _augmentations, _canonical
+
+    graphs = connected_multigraphs(7)
+    found = {graph: auts for graph, auts, _ in (_canonical(2, ((1, 2),)), _canonical(1, ((1, 1),)))}
+    for edges in range(2, 8):
+        children = [child for graph in sorted(found) for child in _augmentations(*graph, found[graph])]
+        found = dict(children)
+        assert len(children) == len(found) == sum(len(g.edges) == edges for g in graphs)

@@ -448,6 +448,22 @@ def test_inputs_past_the_caps_exit_2_at_once(tmp_path, argv, text):
     assert proc.stderr.startswith("error: ")
 
 
+def test_verify_catalog_past_the_cap_is_refused_before_the_catalog_is_built(capsys, monkeypatch):
+    import matvol.catalog
+    from matvol.verify import VERIFY_MAX_N
+
+    def refuse(max_n):
+        raise AssertionError(f"full_catalog({max_n}) was built")
+
+    monkeypatch.setattr(matvol.catalog, "full_catalog", refuse)
+    code, out, err = run(capsys, ["verify", "--catalog", "--max-n", str(VERIFY_MAX_N + 1)])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: verify takes ground sets of at most {VERIFY_MAX_N} elements, "
+        f"and the catalog up to --max-n {VERIFY_MAX_N + 1} holds larger ones\n"
+    )
+
+
 def test_invariants_report_matches_the_library(tmp_path, capsys, catalog5):
     """The report reads beta off the Tutte expansion; the library sums it
     over the rank table.  They agree on every catalog(5) matroid, loops and

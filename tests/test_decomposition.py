@@ -273,6 +273,18 @@ def test_zero_coefficients_rejected():
         SignedDecomposition(3, FAMILY_DELTA, {0: 1})
 
 
+def test_a_decomposition_equals_no_plain_tuple():
+    d = SignedDecomposition(2, FAMILY_DELTA, {0b11: 1})
+    t = (2, FAMILY_DELTA, {0b11: 1})
+    assert tuple(d) == t
+    assert not d == t
+    assert not t == d
+    assert d != t
+    assert t != d
+    assert d == SignedDecomposition(2, FAMILY_DELTA, {0b11: 1})
+    assert not d != SignedDecomposition(2, FAMILY_DELTA, {0b11: 1})
+
+
 def test_profile_validation():
     with pytest.raises(ValueError):
         ZProfile(2, KIND_GP, (1, 0, 0, 0))

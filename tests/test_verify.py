@@ -97,6 +97,17 @@ def test_verify_refuses_ground_sets_past_its_reach(tmp_path):
     assert proc.stderr.startswith("error: verify walks all n! coordinate orderings")
 
 
+def test_verify_matroid_refuses_a_ground_set_past_its_reach():
+    """U(3, 10) is past VERIFY_MAX_N: ``verify_matroid`` refuses it in
+    process, naming the n! walk."""
+    from matvol.errors import WorkBudgetExceeded
+    from matvol.verify import VERIFY_MAX_N
+
+    with pytest.raises(WorkBudgetExceeded, match="^verify walks all n! coordinate orderings") as refused:
+        verify_matroid(uniform(3, 10), "u")
+    assert str(refused.value).endswith(f"at most {VERIFY_MAX_N} elements, got 10")
+
+
 def greedy_vertex_sets(m, d):
     """The vertex-set check run the direct way: for each ordering, the greedy
     basis plus each negative summand's top element, and each positive
