@@ -13,10 +13,11 @@ vertices whose swap is an automorphism), so a star tries one labeling,
 not the factorial of its leaves.  The labelings that tie in that search,
 with the swaps of twins, generate the graph's automorphisms.
 
-Graphs grow one edge at a time by McKay's canonical construction path: a
-graph G gains one edge per orbit of its automorphisms on vertex pairs and
-one pendant edge per vertex orbit, and the child H = G + e is kept only
-if e is H's canonical deletion.  An edge is deletable when removing it,
+Graphs grow one edge at a time by McKay's canonical construction path,
+every level from one root, the one-vertex graph with no edge: a graph G
+gains one edge per orbit of its automorphisms on vertex pairs and one
+pendant edge per vertex orbit, and the child H = G + e is kept only if e
+is H's canonical deletion.  An edge is deletable when removing it,
 and a vertex it leaves isolated, keeps the graph connected: a loop, a
 parallel copy, a non-bridge, or the one edge of a degree-1 vertex.  Among
 H's deletable edges, those with the largest cheap invariant (the sorted
@@ -31,8 +32,9 @@ alone, so every kept copy of H comes from the parent H - e, one graph of
 the level below, and two of its pairs that both give H with e in the
 canonical orbit differ by an automorphism of that parent, so they are one
 orbit.  Every class is reached, because every connected multigraph with
-two or more edges has a deletable edge (a non-bridge, or in a tree a leaf
-edge), so removing its canonical deletion gives a connected parent.
+an edge has a deletable edge (a loop, a non-bridge, or in a tree a leaf
+edge), so removing its canonical deletion gives a connected parent; the
+one-edge graphs, the loop and the edge, have the root as parent.
 """
 
 from __future__ import annotations
@@ -254,30 +256,27 @@ def _augmentations(
 def connected_multigraphs(max_edges: int) -> list[Graph]:
     """Canonical connected multigraphs with 1..max_edges edges, in a fixed
     order: by edge count, then by canonical form."""
-    if max_edges < 1:
-        return []
-    found = {graph: auts for graph, auts, _ in (_canonical(2, ((1, 2),)), _canonical(1, ((1, 1),)))}
-    level: list[CanonGraph] = sorted(found)
-    out = list(level)
-    for _ in range(1, max_edges):
-        found = {child: auts for v, edges in level for child, auts in _augmentations(v, edges, found[v, edges])}
-        level = sorted(found)
-        out.extend(level)
+    found: dict[CanonGraph, list[tuple[int, ...]]] = {(1, ()): []}
+    out: list[CanonGraph] = []
+    for _ in range(max_edges):
+        found = {child: auts for (v, edges), gens in found.items() for child, auts in _augmentations(v, edges, gens)}
+        out.extend(sorted(found))
     return [Graph(v, edges) for v, edges in out]
 
 
 def full_catalog(max_n: int) -> list[CatalogEntry]:
     """Every uniform matroid and the graphic matroid of every connected
-    multigraph on at most ``max_n`` elements, then the duals of all of
-    them, each matroid once.
+    multigraph on at most ``max_n`` elements, then the duals of the
+    graphic ones, each matroid once.  The dual of U(k, n) is U(n - k, n),
+    already listed, so uniform duals are not built.
 
     Identity is ``Matroid`` equality (ground set size and bases), so a
     matroid keeps the name of its first entry: a graphic matroid that is
     uniform is listed as the uniform one, and a dual that is already
     listed is dropped."""
-    primal = [(f"uniform-{k}-{n}", uniform(k, n)) for n in range(1, max_n + 1) for k in range(n + 1)]
-    primal += [(f"graphic-{len(g.edges)}e-{idx}", graphic(g)) for idx, g in enumerate(connected_multigraphs(max_n))]
+    uniforms = [(f"uniform-{k}-{n}", uniform(k, n)) for n in range(1, max_n + 1) for k in range(n + 1)]
+    graphics = [(f"graphic-{len(g.edges)}e-{idx}", graphic(g)) for idx, g in enumerate(connected_multigraphs(max_n))]
     names: dict[Matroid, str] = {}
-    for name, m in primal + [(f"dual-{name}", dual(m)) for name, m in primal]:
+    for name, m in uniforms + graphics + [(f"dual-{name}", dual(m)) for name, m in graphics]:
         names.setdefault(m, name)
     return [CatalogEntry(name, m) for m, name in names.items()]

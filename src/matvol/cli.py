@@ -44,7 +44,7 @@ except ImportError:
         from hashlib import sha256
 
 from . import catalog, decomposition, invariants, pyramid, verify
-from .bitset import elements_of, mask_of, subset_formatter
+from .bitset import elements_of, subset_formatter
 from .errors import GroundSetTooLarge, MatvolError, ParseError, RankMismatch, WorkBudgetExceeded
 from .matroid import (
     MAX_GROUND_SET, Graph, Matroid, coconnected_flats, from_bases, graphic, is_connected, uniform
@@ -91,20 +91,18 @@ def parse_matroid_file(text: str) -> Matroid:
             n = _parse_int(rest, "ground set size", lineno)
             if n > MAX_GROUND_SET:
                 raise GroundSetTooLarge(f"n={n} exceeds the hard limit of {MAX_GROUND_SET} elements")
-        elif key in _GENERATORS:
-            if n is None:
-                raise ParseError("'n: <int>' must come first", lineno)
-            if generator is not None:
-                raise ParseError("only one generator clause is allowed", lineno)
-            generator = (key, rest, lineno)
+        elif key != "rank" and key not in _GENERATORS:
+            raise ParseError(f"unknown key {key!r}", lineno)
+        elif n is None:
+            raise ParseError("'n: <int>' must come first", lineno)
         elif key == "rank":
-            if n is None:
-                raise ParseError("'n: <int>' must come first", lineno)
             if declared_rank is not None:
                 raise ParseError("duplicate 'rank' line", lineno)
             declared_rank = (_parse_int(rest, "rank", lineno), lineno)
+        elif generator is not None:
+            raise ParseError("only one generator clause is allowed", lineno)
         else:
-            raise ParseError(f"unknown key {key!r}", lineno)
+            generator = (key, rest, lineno)
 
     if n is None:
         raise ParseError("missing 'n: <int>' line")
@@ -129,10 +127,12 @@ def _parse_int(token: str, what: str, lineno: int) -> int:
 
 
 def _parse_bases(n: int, rest: str, lineno: int) -> Matroid:
-    """A token of distinct labels spelled as ``str(e)`` is read by one sum
-    over a label table; a repeated label carries and lowers the popcount
-    below the count of pieces.  Any other token takes the per-piece loop,
-    which accepts the other spellings ``int`` reads and words each error."""
+    """A token whose labels are all spelled as ``str(e)`` is read by one sum
+    over a label table.  Any other token takes the per-piece loop, which
+    accepts the other spellings ``int`` reads, words each parse and range
+    error in order, and ORs each label into the mask.  Either way a
+    repeated label leaves the popcount below the count of pieces (the sum
+    carries, the OR absorbs), and that one test refuses it."""
     tokens = rest.split()
     if not tokens:
         raise ParseError("bases clause needs at least one basis", lineno)
@@ -144,18 +144,14 @@ def _parse_bases(n: int, rest: str, lineno: int) -> Matroid:
             mask = sum(map(bit.__getitem__, pieces))
         except KeyError:
             mask = 0
-        if mask.bit_count() == len(pieces):
-            masks.append(mask)
-            continue
-        elements = []
-        for piece in pieces:
-            e = _parse_int(piece, "element label", lineno)
-            if not 1 <= e <= n:
-                raise ParseError(f"element {e} outside 1..{n}", lineno)
-            elements.append(e)
-        if len(set(elements)) != len(elements):
+            for piece in pieces:
+                e = _parse_int(piece, "element label", lineno)
+                if not 1 <= e <= n:
+                    raise ParseError(f"element {e} outside 1..{n}", lineno)
+                mask |= 1 << (e - 1)
+        if mask.bit_count() != len(pieces):
             raise ParseError(f"repeated element in basis {token!r}", lineno)
-        masks.append(mask_of(elements))
+        masks.append(mask)
     return from_bases(n, masks)
 
 

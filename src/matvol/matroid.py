@@ -235,11 +235,8 @@ def _check_exchange(m: Matroid) -> None:
     r = m.rank_value
     for b1 in sorted(m.bases):
         outside = [1 << e for e in range(m.n) if not b1 >> e & 1]
-        xs = b1
-        while xs:
-            x = xs & -xs
-            xs ^= x
-            rest = b1 ^ x
+        for i in set_bits(b1):
+            rest = b1 ^ 1 << i
             closure = rest
             for y in outside:
                 if table[rest | y] < r:
@@ -247,7 +244,7 @@ def _check_exchange(m: Matroid) -> None:
             if table[closure] == r:
                 b2 = min(b for b in m.bases if not b & ~closure)
                 raise ExchangeAxiomViolation(
-                    f"no exchange for element {elements_of(x)[0]} of basis "
+                    f"no exchange for element {i + 1} of basis "
                     f"{sorted(elements_of(b1))} against basis {sorted(elements_of(b2))}"
                 )
 

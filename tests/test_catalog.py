@@ -111,3 +111,22 @@ def test_each_class_grows_from_one_parent():
         children = [child for graph in sorted(found) for child in _augmentations(*graph, found[graph])]
         found = dict(children)
         assert len(children) == len(found) == sum(len(g.edges) == edges for g in graphs)
+
+
+def test_the_one_edge_level_is_the_loop_and_the_edge():
+    assert connected_multigraphs(1) == [(1, ((1, 1),)), (2, ((1, 2),))]
+
+
+def test_every_level_grows_from_the_one_vertex_graph():
+    """From the one-vertex graph with no edge and no automorphism
+    generators, canonical augmentation reaches each class exactly once at
+    every level, the first included."""
+    from matvol.catalog import _augmentations
+
+    graphs = [(g.vertices, g.edges) for g in connected_multigraphs(6)]
+    found = {(1, ()): []}
+    for edges in range(1, 7):
+        children = [child for graph, auts in found.items() for child in _augmentations(*graph, auts)]
+        found = dict(children)
+        assert len(children) == len(found)
+        assert sorted(found) == [g for g in graphs if len(g[1]) == edges]

@@ -502,10 +502,20 @@ def test_invariants_report_matches_the_library(tmp_path, capsys, catalog5):
         ("n: 3\nbases: 1,4\n", [], "line 2: element 4 outside 1..3"),
         ("n: 3\nbases: 1,1\n", [], "line 2: repeated element in basis '1,1'"),
         ("n: 3\nbases:\n", [], "line 2: bases clause needs at least one basis"),
+        ("what: 1\nn: 3\n", [], "line 1: unknown key 'what'"),
+        ("rank: 2\nn: 3\n", [], "line 1: 'n: <int>' must come first"),
+        ("uniform: 2 3\nn: 3\n", [], "line 1: 'n: <int>' must come first"),
+        ("n: 3\nn: 3\n", [], "line 2: duplicate 'n' line"),
+        ("n: 3\nrank: 2\nrank: 2\nuniform: 2 3\n", [], "line 3: duplicate 'rank' line"),
+        ("n: 3\nuniform: 2 3\nbases: 1,2\n", [], "line 3: only one generator clause is allowed"),
+        ("n: 3\nbases: 1,01\n", [], "line 2: repeated element in basis '1,01'"),
+        ("n: 3\nbases: 1,1,9\n", [], "line 2: element 9 outside 1..3"),
     ],
     ids=["non-integer", "repeated-element", "uniform-arity", "empty-graph", "edge-shape", "vertex-zero",
          "threads", "empty-label", "lone-label", "label-zero", "label-negative", "label-past-n",
-         "label-twice", "empty-bases"],
+         "label-twice", "empty-bases", "unknown-key-first", "rank-before-n", "generator-before-n",
+         "n-twice", "rank-twice", "generator-twice", "label-twice-spelled-two-ways",
+         "label-past-n-after-a-repeat"],
 )
 def test_grammar_and_option_refusals_exit_2(tmp_path, capsys, text, argv, message):
     """Each malformed file or option value exits 2 with empty stdout, and

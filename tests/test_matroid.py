@@ -70,6 +70,12 @@ def test_from_bases_exchange_violation():
         from_bases(4, [0b0011, 0b1100])
 
 
+def test_exchange_violation_names_the_basis_and_the_element():
+    with pytest.raises(ExchangeAxiomViolation) as info:
+        from_bases(4, [0b0011, 0b1100])
+    assert str(info.value) == "no exchange for element 1 of basis [1, 2] against basis [3, 4]"
+
+
 def test_ground_set_cap():
     with pytest.raises(GroundSetTooLarge):
         from_bases(21, [1])

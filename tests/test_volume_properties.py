@@ -4,13 +4,15 @@ half the graphs are a cycle with chords, which is 2-connected, so connected
 matroids of 5-10 elements are common.  Random sparse paving matroids of up
 to 7 elements add non-graphic connected ones."""
 
+import random
 from math import factorial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_pyramid import sparse_paving
 
-from matvol.matroid import Graph, direct_sum, dual, graphic, is_connected
+from matvol.bitset import set_bits
+from matvol.matroid import Graph, direct_sum, dual, from_bases, graphic, is_connected
 from matvol.oracle import LatticeFrame, vertices_base, vertices_flag, vertices_indep, volume_exact
 from matvol.pyramid import pyramid_volume_base, pyramid_volume_flag, pyramid_volume_independent
 from matvol.volume import volume_base_polytope, volume_independent_polytope, volume_truncation_flag
@@ -95,3 +97,42 @@ def test_recursion_tuple_formula_and_oracle_agree_where_each_runs(m):
         flag = pyramid_volume_flag(m)
         assert flag == volume_truncation_flag(m)
         assert flag == volume_exact(vertices_flag(m), LatticeFrame.ROOT)
+
+
+def _relabeled(m, rng):
+    """M with its elements renamed by a random permutation."""
+    image = list(range(m.n))
+    rng.shuffle(image)
+    return from_bases(m.n, [sum(1 << image[i] for i in set_bits(b)) for b in m.bases])
+
+
+def _wheel(spokes, rng=None):
+    """The graphic matroid of the wheel with ``spokes`` spokes, its edges
+    listed spokes first, then the rim, or in a random order given ``rng``."""
+    edges = [(1, i) for i in range(2, spokes + 2)] + [(i, i % spokes + 2) for i in range(2, spokes + 2)]
+    if rng is not None:
+        rng.shuffle(edges)
+    return graphic(Graph(spokes + 1, tuple(edges)))
+
+
+def test_volumes_do_not_depend_on_the_labels(catalog6):
+    """Each pyramid volume of every catalog(6) matroid (flag where loopless)
+    and of the wheel W5 (n = 10), and the base volume of W6 (n = 12), is the
+    same on random relabelings as on the given labels."""
+    rng = random.Random(11)
+    for entry in catalog6:
+        m = entry.matroid
+        routes = [pyramid_volume_base, pyramid_volume_independent]
+        routes += [] if m.has_loops() else [pyramid_volume_flag]
+        volumes = [route(m) for route in routes]
+        for _ in range(2):
+            shuffled = _relabeled(m, rng)
+            assert [route(shuffled) for route in routes] == volumes, entry.name
+    routes = [pyramid_volume_base, pyramid_volume_independent, pyramid_volume_flag]
+    w5 = [route(_wheel(5)) for route in routes]
+    for _ in range(3):
+        shuffled = _wheel(5, rng)
+        assert [route(shuffled) for route in routes] == w5
+    w6 = pyramid_volume_base(_wheel(6))
+    for _ in range(3):
+        assert pyramid_volume_base(_wheel(6, rng)) == w6
